@@ -113,6 +113,22 @@ void BM_QueryMapping(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryMapping);
 
+// Mapper construction: per-feature preparation plus the containment
+// lattice (the pairwise feature matching), at the same p as
+// BM_QueryMapping.
+void BM_MapperBuild(benchmark::State& state) {
+  const auto& patterns = SharedPatterns();
+  const int p = static_cast<int>(std::min<size_t>(patterns.size(), 100));
+  GraphDatabase dim;
+  for (int r = 0; r < p; ++r) dim.push_back(patterns[static_cast<size_t>(r)].graph);
+  for (auto _ : state) {
+    FeatureMapper mapper(dim);
+    benchmark::DoNotOptimize(mapper);
+  }
+  state.SetLabel("p=" + std::to_string(p));
+}
+BENCHMARK(BM_MapperBuild);
+
 void BM_StressObjective(benchmark::State& state) {
   const GraphDatabase& db = SharedDb();
   BinaryFeatureDb features = BinaryFeatureDb::FromPatterns(

@@ -46,7 +46,14 @@ Result<QueryEngine> QueryEngine::FromIndex(PersistedIndex index,
 
 Result<QueryEngine> QueryEngine::FromPacked(PackedIndex index,
                                             ServeOptions options) {
-  const int p = static_cast<int>(index.features.size());
+  FeatureMapper mapper(std::move(index.features));
+  return FromPacked(std::move(index), std::move(mapper), options);
+}
+
+Result<QueryEngine> QueryEngine::FromPacked(PackedIndex index,
+                                            FeatureMapper mapper,
+                                            ServeOptions options) {
+  const int p = mapper.num_features();
   if (index.rows.num_bits() != p) {
     return Status::InvalidArgument(
         "packed rows are " + std::to_string(index.rows.num_bits()) +
@@ -172,7 +179,7 @@ Result<QueryEngine> QueryEngine::FromPacked(PackedIndex index,
     // result cache) never mistake a pre-restart answer for a fresh one.
     engine.epoch_ = index.meta->epoch;
   }
-  engine.mapper_ = FeatureMapper(std::move(index.features));
+  engine.mapper_ = std::move(mapper);
   return engine;
 }
 

@@ -175,6 +175,13 @@ class QueryEngine {
   static Result<QueryEngine> FromPacked(PackedIndex index,
                                         ServeOptions options = {});
 
+  /// FromPacked with an already-built mapper for the index's dimension:
+  /// the mapper's prepared state is shared, not rebuilt. The dimension
+  /// comes from the mapper; index.features is not read.
+  static Result<QueryEngine> FromPacked(PackedIndex index,
+                                        FeatureMapper mapper,
+                                        ServeOptions options = {});
+
   /// Loads the index file at path (core/index_io, v1 text or v2 binary)
   /// and builds; v2 files load through the direct packed-words path.
   static Result<QueryEngine> Open(const std::string& index_path,

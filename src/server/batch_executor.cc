@@ -769,9 +769,8 @@ Result<ReindexReport> BatchExecutor::InstallGeneration(
   // frozen fingerprints, ids inserted since are VF2-mapped with the NEW
   // mapper, ids removed since are dropped. The cost is proportional to the
   // churn during the refresh, not the database.
-  const FeatureMapper mapper(generation.features);
+  FeatureMapper mapper(std::move(generation.features));
   PersistedIndex index;
-  index.features = generation.features;
   const std::vector<int> live = store_->live_ids();
   index.ids.reserve(live.size());
   index.db_bits.reserve(live.size());
@@ -793,7 +792,8 @@ Result<ReindexReport> BatchExecutor::InstallGeneration(
   }
   index.next_id = engine_->next_id();
   Result<ShardedEngine> next =
-      ShardedEngine::FromIndex(std::move(index), engine_->options());
+      ShardedEngine::FromIndex(std::move(index), std::move(mapper),
+                               engine_->options());
   if (!next.ok()) return next.status();
   engine_->SwapGeneration(std::move(next).value());
   ReindexReport report;

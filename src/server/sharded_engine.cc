@@ -46,7 +46,14 @@ Ranking MergeTopK(const std::vector<Ranking>& partials, int k) {
 
 Result<ShardedEngine> ShardedEngine::FromIndex(PersistedIndex index,
                                                ShardedOptions options) {
-  const size_t p = index.features.size();
+  FeatureMapper mapper(std::move(index.features));
+  return FromIndex(std::move(index), std::move(mapper), options);
+}
+
+Result<ShardedEngine> ShardedEngine::FromIndex(PersistedIndex index,
+                                               FeatureMapper mapper,
+                                               ShardedOptions options) {
+  const size_t p = static_cast<size_t>(mapper.num_features());
   for (size_t i = 0; i < index.db_bits.size(); ++i) {
     if (index.db_bits[i].size() != p) {
       return Status::InvalidArgument(
@@ -57,19 +64,25 @@ Result<ShardedEngine> ShardedEngine::FromIndex(PersistedIndex index,
   }
   PackedIndex packed;
   packed.rows = PackedBitMatrix::FromRows(index.db_bits, static_cast<int>(p));
-  packed.features = std::move(index.features);
   packed.ids = std::move(index.ids);
   packed.next_id = index.next_id;
-  return FromPacked(std::move(packed), options);
+  return FromPacked(std::move(packed), std::move(mapper), options);
 }
 
 Result<ShardedEngine> ShardedEngine::FromPacked(PackedIndex index,
+                                                ShardedOptions options) {
+  FeatureMapper mapper(std::move(index.features));
+  return FromPacked(std::move(index), std::move(mapper), options);
+}
+
+Result<ShardedEngine> ShardedEngine::FromPacked(PackedIndex index,
+                                                FeatureMapper mapper,
                                                 ShardedOptions options) {
   if (options.num_shards < 1) {
     return Status::InvalidArgument(
         "num_shards must be >= 1, got " + std::to_string(options.num_shards));
   }
-  const int p = static_cast<int>(index.features.size());
+  const int p = mapper.num_features();
   if (index.rows.num_bits() != p) {
     return Status::InvalidArgument(
         "packed rows are " + std::to_string(index.rows.num_bits()) +
@@ -123,7 +136,6 @@ Result<ShardedEngine> ShardedEngine::FromPacked(PackedIndex index,
   engine.shards_.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
     PackedIndex shard;
-    shard.features = index.features;  // each shard owns its mapper copy
     shard.rows = std::move(shard_rows[static_cast<size_t>(s)]);
     shard.ids = std::move(shard_ids[static_cast<size_t>(s)]);
     // The global counter exceeds every id, so it is a valid per-shard
@@ -134,7 +146,7 @@ Result<ShardedEngine> ShardedEngine::FromPacked(PackedIndex index,
     // external-id, so this works at any shard count).
     shard.ivf = index.ivf;
     Result<QueryEngine> built =
-        QueryEngine::FromPacked(std::move(shard), options.serve);
+        QueryEngine::FromPacked(std::move(shard), mapper, options.serve);
     if (!built.ok()) return built.status();
     engine.shards_.push_back(std::move(built).value());
   }
@@ -149,7 +161,7 @@ Result<ShardedEngine> ShardedEngine::FromPacked(PackedIndex index,
     engine.shards_[0].writer_role().Assert();
     engine.shards_[0].RaiseEpochToAtLeast(index.meta->epoch);
   }
-  engine.mapper_ = FeatureMapper(std::move(index.features));
+  engine.mapper_ = std::move(mapper);
   return engine;
 }
 

@@ -85,6 +85,12 @@ class ShardedEngine {
   static Result<ShardedEngine> FromIndex(PersistedIndex index,
                                          ShardedOptions options = {});
 
+  /// FromIndex with an already-built mapper for the index's dimension (the
+  /// caller mapped rows with it); index.features is not read.
+  static Result<ShardedEngine> FromIndex(PersistedIndex index,
+                                         FeatureMapper mapper,
+                                         ShardedOptions options = {});
+
   /// FromIndex over an index already in the packed scan layout: shard rows
   /// are split with word-level copies, never through byte vectors. v3
   /// sections are adopted when present: every shard projects the persisted
@@ -254,6 +260,12 @@ class ShardedEngine {
 
  private:
   ShardedEngine() = default;
+
+  /// FromPacked with an already-built mapper; index.features is not read.
+  /// The engine and every shard share the mapper's prepared state.
+  static Result<ShardedEngine> FromPacked(PackedIndex index,
+                                          FeatureMapper mapper,
+                                          ShardedOptions options);
 
   int ShardOf(int id) const {
     return id % static_cast<int>(shards_.size());
