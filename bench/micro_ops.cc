@@ -1,12 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the primitive operations behind
 // every experiment: subgraph isomorphism (VF2), exact MCS (both algorithms),
-// query mapping, the DSPM iteration kernels, and gSpan mining.
+// query mapping, the DSPM iteration kernels, gSpan mining, and the serving
+// engine's stage-3 scan.
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
+#include "common/random.h"
 #include "core/dspm.h"
+#include "core/kernels/scan_kernel.h"
 #include "core/mapper.h"
 #include "core/objective.h"
 #include "datasets/chemgen.h"
@@ -14,6 +20,7 @@
 #include "mcs/dissimilarity.h"
 #include "mcs/mcs.h"
 #include "mining/gspan.h"
+#include "serve/query_engine.h"
 
 namespace gdim {
 namespace {
@@ -178,6 +185,54 @@ void BM_Delta2Pair(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Delta2Pair);
+
+// Stage 3 of one query on one serving shard: a MODE=full QueryMapped over
+// 100k clustered 128-bit rows (rows are 512 random prototypes with each bit
+// flipped w.p. 1/8, like the fingerprint serving corpus), k = 10: query
+// packing, the popcount scan with fused integer top-k, and the id mapping.
+void BM_ShardScanTopK(benchmark::State& state) {
+  constexpr int kRows = 100000;
+  constexpr int kBits = 128;
+  Rng rng(2014);
+  std::vector<std::vector<uint8_t>> prototypes(512);
+  for (auto& proto : prototypes) {
+    proto.resize(kBits);
+    for (auto& bit : proto) bit = rng.Bernoulli(0.15) ? 1 : 0;
+  }
+  auto draw = [&](std::vector<uint8_t>* bits) {
+    *bits = prototypes[rng.UniformU64(prototypes.size())];
+    for (auto& bit : *bits) bit ^= rng.Bernoulli(0.125) ? 1 : 0;
+  };
+  PackedIndex index;
+  for (int r = 0; r < kBits; ++r) {
+    Graph feature;
+    feature.AddVertex(static_cast<LabelId>(r));
+    index.features.push_back(std::move(feature));
+  }
+  index.rows = PackedBitMatrix::WithWidth(kBits);
+  index.rows.Reserve(kRows);
+  std::vector<uint8_t> bits;
+  for (int i = 0; i < kRows; ++i) {
+    draw(&bits);
+    index.rows.AppendRow(bits);
+  }
+  Result<QueryEngine> engine = QueryEngine::FromPacked(std::move(index));
+  if (!engine.ok()) {
+    state.SkipWithError(engine.status().ToString().c_str());
+    return;
+  }
+  std::vector<std::vector<uint8_t>> queries(64);
+  for (auto& q : queries) draw(&q);
+  const QueryOptions options{.k = 10, .scan_mode = ScanMode::kFull};
+  size_t qi = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine->QueryMapped(queries[qi], options));
+    qi = (qi + 1) % queries.size();
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+  state.SetLabel(std::string("kernel=") + ActiveScanKernel().name());
+}
+BENCHMARK(BM_ShardScanTopK)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace gdim

@@ -6,8 +6,9 @@
 //                           --density=0.3 --repeat=3 --seed=7
 //                           --json-out=FILE]
 //
-// Reports scan-kernel time (score every row, no ranking), full-ranking time
-// (scan + sort), the serving stage-3 path (scan + partial top-k), and a
+// Reports scan-kernel time (Hamming distance of every row, no ranking),
+// full-ranking time (scan + sort), the serving stage-3 path (a QueryEngine's
+// MODE=full QueryMapped: scan with fused integer top-k), and a
 // per-kernel section: every kernel this host supports runs the same
 // block-tiled multi-query batch scan, checked bit-for-bit against scalar
 // before timing, with speedups relative to scalar. --json-out writes the
@@ -35,6 +36,7 @@
 #include "core/packed_bits.h"
 #include "core/topk.h"
 #include "graph/graph.h"
+#include "serve/query_engine.h"
 #include "server/sharded_engine.h"
 
 namespace gdim {
@@ -127,6 +129,20 @@ int Main(int argc, char** argv) {
     packed_queries.push_back(packed.PackQuery(q));
   }
 
+  // The serving engine over the same rows, one single-letter feature per
+  // bit (features are never matched here: queries arrive pre-mapped).
+  PersistedIndex index;
+  for (int r = 0; r < p; ++r) {
+    Graph feature;
+    feature.AddVertex(static_cast<LabelId>(r));
+    index.features.push_back(feature);
+  }
+  index.db_bits = rows;
+  Result<QueryEngine> engine = QueryEngine::FromIndex(index);
+  GDIM_CHECK(engine.ok()) << engine.status().ToString();
+  const ScanKernel& active = ActiveScanKernel();
+  std::vector<uint32_t> diffs(static_cast<size_t>(n));
+
   double byte_scan_s = 1e30, packed_scan_s = 1e30;
   double byte_rank_s = 1e30, packed_rank_s = 1e30, packed_topk_s = 1e30;
   std::vector<double> scores;
@@ -141,8 +157,9 @@ int Main(int argc, char** argv) {
 
     timer.Reset();
     for (const auto& q : packed_queries) {
-      packed.ScoreAll(q, &scores);
-      sink += scores.back();
+      active.HammingBlock(q.data(), packed.row(0), packed.words_per_row(), n,
+                          diffs.data());
+      sink += diffs.back();
     }
     packed_scan_s = std::min(packed_scan_s, timer.Seconds());
 
@@ -155,9 +172,9 @@ int Main(int argc, char** argv) {
     packed_rank_s = std::min(packed_rank_s, timer.Seconds());
 
     timer.Reset();
-    for (const auto& q : packed_queries) {
-      packed.ScoreAll(q, &scores);
-      sink += TopKByScores(scores, k)[0].score;
+    for (const auto& q : queries) {
+      sink += engine->QueryMapped(q, {.k = k, .scan_mode = ScanMode::kFull})[0]
+                  .score;
     }
     packed_topk_s = std::min(packed_topk_s, timer.Seconds());
   }
@@ -169,7 +186,7 @@ int Main(int argc, char** argv) {
   std::printf("byte full ranking:   %8.1f us/query\n", byte_rank_s / qn * 1e6);
   std::printf("packed full ranking: %8.1f us/query  (speedup %.1fx)\n",
               packed_rank_s / qn * 1e6, byte_rank_s / packed_rank_s);
-  std::printf("packed scan + topk:  %8.1f us/query  (%.0f qps, "
+  std::printf("engine scan + topk:  %8.1f us/query  (%.0f qps, "
               "%.1fx vs byte ranking)\n",
               packed_topk_s / qn * 1e6, qn / packed_topk_s,
               byte_rank_s / packed_topk_s);
@@ -250,16 +267,9 @@ int Main(int argc, char** argv) {
     // structure to exploit, so the recorded recall is a conservative floor
     // (bench_approx_workload gates the clustered case); the point tracks
     // the QPS ratio and recall over time.
-    PersistedIndex index;
-    for (LabelId r = 0; r < p; ++r) {
-      Graph feature;
-      feature.AddVertex(r);
-      index.features.push_back(feature);
-    }
-    index.db_bits = rows;
-    Result<ShardedEngine> engine =
+    Result<ShardedEngine> sharded =
         ShardedEngine::FromIndex(std::move(index), ShardedOptions{});
-    GDIM_CHECK(engine.ok()) << engine.status().ToString();
+    GDIM_CHECK(sharded.ok()) << sharded.status().ToString();
     double full_s = 1e30, approx_s = 1e30;
     std::vector<Ranking> full_answers(queries.size());
     std::vector<Ranking> approx_answers(queries.size());
@@ -267,7 +277,7 @@ int Main(int argc, char** argv) {
     for (int rep = 0; rep < repeat; ++rep) {
       WallTimer timer;
       for (size_t q = 0; q < queries.size(); ++q) {
-        full_answers[q] = engine->QueryMapped(
+        full_answers[q] = sharded->QueryMapped(
             queries[q], {.k = k, .scan_mode = ScanMode::kFull});
       }
       full_s = std::min(full_s, timer.Seconds());
@@ -275,7 +285,7 @@ int Main(int argc, char** argv) {
       long long rep_scanned = 0;
       for (size_t q = 0; q < queries.size(); ++q) {
         ServeQueryStats stats;
-        approx_answers[q] = engine->QueryMapped(
+        approx_answers[q] = sharded->QueryMapped(
             queries[q], {.k = k, .scan_mode = ScanMode::kApprox}, &stats);
         rep_scanned += stats.scanned;
       }
@@ -316,7 +326,7 @@ int Main(int argc, char** argv) {
                  "  \"full_qps\": %.1f, \"approx_qps\": %.1f,\n"
                  "  \"speedup\": %.2f, \"recall_at_k\": %.4f,\n"
                  "  \"scan_frac\": %.4f\n}\n",
-                 n, p, num_queries, k, engine->ivf_buckets(), qn / full_s,
+                 n, p, num_queries, k, sharded->ivf_buckets(), qn / full_s,
                  qn / approx_s, full_s / approx_s, recall, scan_frac);
     std::fclose(af);
     std::printf("# wrote %s (approx %.0f qps vs full %.0f qps, "

@@ -92,11 +92,9 @@ Result<GraphSearchIndex> GraphSearchIndex::Build(const GraphDatabase& db,
 }
 
 Ranking GraphSearchIndex::Query(const Graph& q, int k) const {
-  // Packed scan + partial top-k selection; identical output order to
-  // TopK(MappedRanking(...), k) without the full n·log n sort.
-  std::vector<double> scores;
-  packed_bits_.ScoreAll(packed_bits_.PackQuery(MapQuery(q)), &scores);
-  return TopKByScores(scores, k);
+  // Packed scan + fused top-k selection; identical output order to
+  // TopK(MappedRanking(...), k) without scoring or sorting every row.
+  return MappedTopK(MapQuery(q), packed_bits_, k);
 }
 
 Ranking GraphSearchIndex::QueryExact(const Graph& q, int k) const {

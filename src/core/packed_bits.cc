@@ -1,30 +1,9 @@
 #include "core/packed_bits.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <vector>
 
-#include "core/kernels/scan_kernel.h"
-
 namespace gdim {
-
-namespace {
-
-inline int PopcountXor(const uint64_t* a, const uint64_t* b, size_t words) {
-  int diff = 0;
-  for (size_t w = 0; w < words; ++w) {
-    diff += std::popcount(a[w] ^ b[w]);
-  }
-  return diff;
-}
-
-/// Rows per kernel call: 256 rows of up to a few hundred words keeps the
-/// block plus the diff scratch comfortably inside L2 while amortizing the
-/// virtual dispatch to nothing.
-constexpr int kScanBlockRows = 256;
-
-}  // namespace
 
 PackedBitMatrix PackedBitMatrix::WithWidth(int num_bits) {
   GDIM_CHECK(num_bits >= 0);
@@ -138,90 +117,8 @@ std::vector<uint8_t> PackedBitMatrix::UnpackRow(int row_id) const {
 int PackedBitMatrix::HammingDistance(const std::vector<uint64_t>& query,
                                      int row_id) const {
   GDIM_CHECK(query.size() == words_per_row_) << "query width mismatch";
-  return PopcountXor(query.data(), row(row_id), words_per_row_);
-}
-
-double PackedBitMatrix::NormalizedDistance(const std::vector<uint64_t>& query,
-                                           int row_id) const {
-  if (num_bits_ == 0) return 0.0;
-  return std::sqrt(static_cast<double>(HammingDistance(query, row_id)) /
-                   static_cast<double>(num_bits_));
-}
-
-void PackedBitMatrix::ScoreAll(const std::vector<uint64_t>& query,
-                               std::vector<double>* scores) const {
-  scores->resize(static_cast<size_t>(num_rows_));
-  ScoreAllInto(query, scores->data());
-}
-
-void PackedBitMatrix::ScoreAllInto(const std::vector<uint64_t>& query,
-                                   double* out) const {
-  GDIM_CHECK(query.size() == words_per_row_) << "query width mismatch";
-  if (num_bits_ == 0) {
-    for (int i = 0; i < num_rows_; ++i) out[i] = 0.0;
-    return;
-  }
-  const ScanKernel& kernel = ActiveScanKernel();
-  const double p = static_cast<double>(num_bits_);
-  uint32_t diffs[kScanBlockRows];
-  for (int begin = 0; begin < num_rows_; begin += kScanBlockRows) {
-    const int block = std::min(kScanBlockRows, num_rows_ - begin);
-    kernel.HammingBlock(query.data(),
-                        words_.data() +
-                            static_cast<size_t>(begin) * words_per_row_,
-                        words_per_row_, block, diffs);
-    for (int i = 0; i < block; ++i) {
-      out[begin + i] = std::sqrt(static_cast<double>(diffs[i]) / p);
-    }
-  }
-}
-
-void PackedBitMatrix::ScoreAllMultiInto(const uint64_t* const* queries,
-                                        int num_queries,
-                                        double* const* outs) const {
-  if (num_queries <= 0) return;
-  if (num_bits_ == 0) {
-    for (int q = 0; q < num_queries; ++q) {
-      for (int i = 0; i < num_rows_; ++i) outs[q][i] = 0.0;
-    }
-    return;
-  }
-  const ScanKernel& kernel = ActiveScanKernel();
-  const double p = static_cast<double>(num_bits_);
-  std::vector<uint32_t> diffs(static_cast<size_t>(num_queries) *
-                              kScanBlockRows);
-  for (int begin = 0; begin < num_rows_; begin += kScanBlockRows) {
-    const int block = std::min(kScanBlockRows, num_rows_ - begin);
-    kernel.HammingBlockMulti(queries, num_queries,
-                             words_.data() +
-                                 static_cast<size_t>(begin) * words_per_row_,
-                             words_per_row_, block, diffs.data());
-    for (int q = 0; q < num_queries; ++q) {
-      const uint32_t* row_diffs =
-          diffs.data() + static_cast<size_t>(q) * block;
-      for (int i = 0; i < block; ++i) {
-        outs[q][begin + i] =
-            std::sqrt(static_cast<double>(row_diffs[i]) / p);
-      }
-    }
-  }
-}
-
-void PackedBitMatrix::ScoreSubset(const std::vector<uint64_t>& query,
-                                  const std::vector<int>& candidates,
-                                  std::vector<double>* scores) const {
-  GDIM_CHECK(query.size() == words_per_row_) << "query width mismatch";
-  scores->resize(candidates.size());
-  if (num_bits_ == 0) {
-    for (double& s : *scores) s = 0.0;
-    return;
-  }
-  const double p = static_cast<double>(num_bits_);
-  for (size_t j = 0; j < candidates.size(); ++j) {
-    const int diff = PopcountXor(query.data(), row(candidates[j]),
-                                 words_per_row_);
-    (*scores)[j] = std::sqrt(static_cast<double>(diff) / p);
-  }
+  return static_cast<int>(
+      HammingWords(query.data(), row(row_id), words_per_row_));
 }
 
 }  // namespace gdim

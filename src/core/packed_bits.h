@@ -1,12 +1,38 @@
 #ifndef GDIM_CORE_PACKED_BITS_H_
 #define GDIM_CORE_PACKED_BITS_H_
 
+#include <bit>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "common/logging.h"
 
 namespace gdim {
+
+/// popcount(a ^ b) over `words` words: the exact Hamming distance between
+/// two packed rows, for callers scoring rows one at a time (candidate lists,
+/// IVF postings). Block scans go through a ScanKernel instead.
+inline uint32_t HammingWords(const uint64_t* a, const uint64_t* b,
+                             size_t words) {
+  uint32_t diff = 0;
+  for (size_t w = 0; w < words; ++w) {
+    diff += static_cast<uint32_t>(std::popcount(a[w] ^ b[w]));
+  }
+  return diff;
+}
+
+/// The normalized mapped distance sqrt(distance / num_bits) of a Hamming
+/// count, 0 for a zero-width dimension; the one score conversion every scan
+/// path applies, equal bit for bit to BinaryMappedDistance. Strictly
+/// increasing in distance over 0..num_bits, so ranking by (distance, row)
+/// and by (score, row) agree.
+inline double HammingScore(uint32_t distance, int num_bits) {
+  if (num_bits == 0) return 0.0;
+  return std::sqrt(static_cast<double>(distance) /
+                   static_cast<double>(num_bits));
+}
 
 /// A binary n×p matrix packed row-major into 64-bit words, the scan layout of
 /// the online query path: one database graph's mapped vector per row, rows
@@ -95,37 +121,6 @@ class PackedBitMatrix {
   /// Hamming distance between a packed query (from PackBits, same width) and
   /// row i.
   int HammingDistance(const std::vector<uint64_t>& query, int row_id) const;
-
-  /// Normalized Euclidean distance sqrt(hamming / p) to row i; equals
-  /// BinaryMappedDistance on the unpacked vectors bit for bit.
-  double NormalizedDistance(const std::vector<uint64_t>& query,
-                            int row_id) const;
-
-  /// Scores every row against the packed query into *scores (resized to
-  /// num_rows()). The full-scan kernel of the serving hot path.
-  void ScoreAll(const std::vector<uint64_t>& query,
-                std::vector<double>* scores) const;
-
-  /// ScoreAll into a caller-owned buffer of num_rows() doubles, so a
-  /// multi-segment engine can scan base + delta into one score vector
-  /// without a concatenating copy. Runs on the process's ActiveScanKernel()
-  /// in cache-resident row blocks; every kernel is bit-identical to scalar
-  /// (exact integer Hamming counts, one shared sqrt(diff/p) conversion).
-  void ScoreAllInto(const std::vector<uint64_t>& query, double* out) const;
-
-  /// Multi-query ScoreAllInto: scores num_queries packed queries (each
-  /// words_per_row() words, from PackQuery) in one pass over the rows —
-  /// outs[q][i] gets row i's score against queries[q]. The block-tiled
-  /// batch-scan kernel: a row block is loaded once and XORed against every
-  /// query while cache-resident, instead of once per query.
-  void ScoreAllMultiInto(const uint64_t* const* queries, int num_queries,
-                         double* const* outs) const;
-
-  /// Scores only the given rows, writing scores[j] for candidates[j]
-  /// (*scores resized to candidates.size()). The post-prefilter kernel.
-  void ScoreSubset(const std::vector<uint64_t>& query,
-                   const std::vector<int>& candidates,
-                   std::vector<double>* scores) const;
 
  private:
   int num_rows_ = 0;

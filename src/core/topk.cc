@@ -1,6 +1,7 @@
 #include "core/topk.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/parallel.h"
@@ -10,73 +11,81 @@ namespace gdim {
 
 namespace {
 
-/// The one total order every ranking path uses: ascending score, id
-/// tie-break. Shared so exact, byte-scan, packed-scan, and partial top-k
-/// outputs stay mutually consistent.
-inline bool RankedBefore(const RankedResult& a, const RankedResult& b) {
-  if (a.score != b.score) return a.score < b.score;
-  return a.id < b.id;
-}
+/// Rows per kernel call in ScanTopK: 256 rows of up to a few hundred words
+/// keeps the block plus the per-query diff scratch comfortably inside L2
+/// while amortizing the virtual dispatch to nothing.
+constexpr int kScanBlockRows = 256;
 
-/// Unsorted ranking over ids 0..n-1.
-Ranking MakeRanking(const std::vector<double>& scores) {
+}  // namespace
+
+Ranking RankByScores(const std::vector<double>& scores) {
   Ranking r;
   r.reserve(scores.size());
   for (size_t i = 0; i < scores.size(); ++i) {
     r.push_back(RankedResult{static_cast<int>(i), scores[i]});
   }
+  // The one total order every ranking uses: ascending score, id tie-break.
+  std::sort(r.begin(), r.end(),
+            [](const RankedResult& a, const RankedResult& b) {
+              if (a.score != b.score) return a.score < b.score;
+              return a.id < b.id;
+            });
   return r;
 }
 
-/// Unsorted ranking over an explicit candidate id set.
-Ranking MakeRanking(const std::vector<int>& ids,
-                    const std::vector<double>& scores) {
-  GDIM_CHECK(ids.size() == scores.size()) << "candidate/score size mismatch";
-  Ranking r;
-  r.reserve(ids.size());
-  for (size_t j = 0; j < ids.size(); ++j) {
-    r.push_back(RankedResult{ids[j], scores[j]});
+HammingTopK::HammingTopK(int k)
+    : k_(static_cast<size_t>(std::max(k, 0))),
+      bound_(k > 0 ? std::numeric_limits<uint64_t>::max() : 0) {}
+
+void HammingTopK::Admit(uint64_t key) {
+  if (heap_.size() == k_) {
+    std::pop_heap(heap_.begin(), heap_.end());
+    heap_.back() = key;
+  } else {
+    heap_.push_back(key);
   }
-  return r;
+  std::push_heap(heap_.begin(), heap_.end());
+  if (heap_.size() == k_) bound_ = heap_.front();
 }
 
-}  // namespace
-
-Ranking RankByScores(const std::vector<double>& scores) {
-  Ranking r = MakeRanking(scores);
-  std::sort(r.begin(), r.end(), RankedBefore);
-  return r;
+void HammingTopK::OfferBlock(const uint32_t* distances, int count, int row0,
+                             const uint8_t* tombstones) {
+  uint32_t nearest = std::numeric_limits<uint32_t>::max();
+  for (int i = 0; i < count; ++i) nearest = std::min(nearest, distances[i]);
+  // Every key with a distance above the bound's distance is above the bound.
+  if (nearest > (bound_ >> 32)) return;
+  for (int i = 0; i < count; ++i) Offer(distances[i], row0 + i, tombstones);
 }
 
-Ranking RankCandidates(const std::vector<int>& ids,
-                       const std::vector<double>& scores) {
-  Ranking r = MakeRanking(ids, scores);
-  std::sort(r.begin(), r.end(), RankedBefore);
-  return r;
-}
-
-namespace {
-
-/// nth_element partial selection + sort of the k survivors; consumes r.
-Ranking SelectTopK(Ranking r, int k) {
-  GDIM_CHECK(k >= 0);
-  if (k < static_cast<int>(r.size())) {
-    std::nth_element(r.begin(), r.begin() + k, r.end(), RankedBefore);
-    r.resize(static_cast<size_t>(k));
+Ranking HammingTopK::Take(int num_bits) {
+  std::sort_heap(heap_.begin(), heap_.end());
+  Ranking top;
+  top.reserve(heap_.size());
+  for (const uint64_t key : heap_) {
+    top.push_back(RankedResult{
+        static_cast<int>(key & 0xffffffffu),
+        HammingScore(static_cast<uint32_t>(key >> 32), num_bits)});
   }
-  std::sort(r.begin(), r.end(), RankedBefore);
-  return r;
+  heap_.clear();
+  bound_ = k_ > 0 ? std::numeric_limits<uint64_t>::max() : 0;
+  return top;
 }
 
-}  // namespace
-
-Ranking TopKByScores(const std::vector<double>& scores, int k) {
-  return SelectTopK(MakeRanking(scores), k);
-}
-
-Ranking TopKCandidates(const std::vector<int>& ids,
-                       const std::vector<double>& scores, int k) {
-  return SelectTopK(MakeRanking(ids, scores), k);
+void ScanTopK(const ScanKernel& kernel, const PackedBitMatrix& rows,
+              const uint64_t* const* queries, int num_queries, int row_offset,
+              const uint8_t* tombstones, HammingTopK* tops) {
+  if (num_queries <= 0) return;
+  std::vector<uint32_t> diffs(static_cast<size_t>(num_queries) *
+                              kScanBlockRows);
+  for (int begin = 0; begin < rows.num_rows(); begin += kScanBlockRows) {
+    const int block = std::min(kScanBlockRows, rows.num_rows() - begin);
+    kernel.HammingBlockMulti(queries, num_queries, rows.row(begin),
+                             rows.words_per_row(), block, diffs.data());
+    for (int q = 0; q < num_queries; ++q) {
+      tops[q].OfferBlock(diffs.data() + static_cast<size_t>(q) * block, block,
+                         row_offset + begin, tombstones);
+    }
+  }
 }
 
 Ranking ExactRanking(const Graph& query, const GraphDatabase& db,
@@ -103,9 +112,16 @@ Ranking MappedRanking(const std::vector<uint8_t>& query_bits,
 
 Ranking MappedRanking(const std::vector<uint8_t>& query_bits,
                       const PackedBitMatrix& db_bits) {
-  std::vector<double> scores;
-  db_bits.ScoreAll(db_bits.PackQuery(query_bits), &scores);
-  return RankByScores(scores);
+  return MappedTopK(query_bits, db_bits, db_bits.num_rows());
+}
+
+Ranking MappedTopK(const std::vector<uint8_t>& query_bits,
+                   const PackedBitMatrix& db_bits, int k) {
+  const std::vector<uint64_t> query = db_bits.PackQuery(query_bits);
+  const uint64_t* queries[] = {query.data()};
+  HammingTopK top(k);
+  ScanTopK(ActiveScanKernel(), db_bits, queries, 1, 0, nullptr, &top);
+  return top.Take(db_bits.num_bits());
 }
 
 Ranking TopK(const Ranking& ranking, int k) {

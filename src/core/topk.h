@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/kernels/scan_kernel.h"
 #include "core/packed_bits.h"
 #include "graph/graph.h"
 #include "mcs/dissimilarity.h"
@@ -29,22 +30,62 @@ using Ranking = std::vector<RankedResult>;
 /// Ranks all database graphs by a precomputed score vector; ascending.
 Ranking RankByScores(const std::vector<double>& scores);
 
-/// Ranks an explicit candidate id set by its score vector (scores[j] scores
-/// ids[j]); same ascending score-then-id total order as RankByScores. Used
-/// after a prefilter has narrowed the scan set.
-Ranking RankCandidates(const std::vector<int>& ids,
-                       const std::vector<double>& scores);
+/// Bounded top-k selection on integer Hamming distances: keeps the k
+/// smallest (distance, row) pairs among the rows offered, in any order, and
+/// rejects a row that cannot enter with one integer compare. Because
+/// HammingScore is strictly increasing in the distance, the (distance, row)
+/// order is exactly the ascending score-then-id order of RankByScores, so
+/// the survivors — scored only at Take() — equal
+/// TopK(RankByScores(scores), k) entry for entry, ties included. This is
+/// the stage-3 selector behind every candidate source of the serving
+/// engine: full scans, IVF postings, and prefilter candidate lists.
+class HammingTopK {
+ public:
+  /// k <= 0 keeps nothing.
+  explicit HammingTopK(int k);
 
-/// First k of RankByScores(scores) without sorting the whole database:
-/// nth_element partial selection plus a sort of the k survivors, with the
-/// identical score-then-id tie-break, so the output equals
-/// TopK(RankByScores(scores), k) entry for entry.
-Ranking TopKByScores(const std::vector<double>& scores, int k);
+  /// Offers physical row `row` (>= 0, distinct across offers) at Hamming
+  /// distance `distance`. `tombstones`, indexed by physical row, may be
+  /// null; it is read only for rows that pass the bound, so a removed row
+  /// costs nothing unless it would have ranked.
+  void Offer(uint32_t distance, int row, const uint8_t* tombstones) {
+    const uint64_t key =
+        (uint64_t{distance} << 32) | static_cast<uint32_t>(row);
+    if (key < bound_ &&
+        (tombstones == nullptr || tombstones[static_cast<size_t>(row)] == 0)) {
+      Admit(key);
+    }
+  }
 
-/// Partial-selection counterpart for explicit candidate sets: equals
-/// TopK(RankCandidates(ids, scores), k) without sorting all candidates.
-Ranking TopKCandidates(const std::vector<int>& ids,
-                       const std::vector<double>& scores, int k);
+  /// Offer() for `count` consecutive rows row0, row0 + 1, ... at
+  /// distances[i]. A block whose nearest row cannot enter is skipped after
+  /// one min pass — the common case once the selector is full.
+  void OfferBlock(const uint32_t* distances, int count, int row0,
+                  const uint8_t* tombstones);
+
+  /// The survivors in ascending (score, row) order, score =
+  /// HammingScore(distance, num_bits), ids still physical rows. Leaves the
+  /// selector empty.
+  Ranking Take(int num_bits);
+
+ private:
+  void Admit(uint64_t key);
+
+  size_t k_;
+  /// Keys strictly below the bound may enter: the largest kept key once k
+  /// are kept, UINT64_MAX before (no real key reaches it: rows fit 31 bits).
+  uint64_t bound_;
+  std::vector<uint64_t> heap_;  ///< max-heap of kept (distance << 32 | row)
+};
+
+/// Offers every row of `rows` to one selector per query: tops[q] receives
+/// row i as physical row row_offset + i at its distance to queries[q]
+/// (rows.words_per_row() words each). The rows stream through `kernel` in
+/// cache-resident blocks, each block XORed against all num_queries queries
+/// before the next loads. `tombstones` is indexed by physical row (nullable).
+void ScanTopK(const ScanKernel& kernel, const PackedBitMatrix& rows,
+              const uint64_t* const* queries, int num_queries, int row_offset,
+              const uint8_t* tombstones, HammingTopK* tops);
 
 /// Exact ranking of db against query by MCS-based dissimilarity. This is the
 /// costly reference path (the "Exact" algorithm of Exp-4/Exp-6).
@@ -61,6 +102,12 @@ Ranking MappedRanking(const std::vector<uint8_t>& query_bits,
 /// of a byte-compare loop. Bit-identical results to the byte overload.
 Ranking MappedRanking(const std::vector<uint8_t>& query_bits,
                       const PackedBitMatrix& db_bits);
+
+/// First k of the packed MappedRanking, selected during the scan: equals
+/// TopK(MappedRanking(query_bits, db_bits), k) without scoring or sorting
+/// every row.
+Ranking MappedTopK(const std::vector<uint8_t>& query_bits,
+                   const PackedBitMatrix& db_bits, int k);
 
 /// First k entries of a ranking (whole ranking if k >= size).
 Ranking TopK(const Ranking& ranking, int k);

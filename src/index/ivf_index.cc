@@ -1,28 +1,14 @@
 #include "index/ivf_index.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/random.h"
+#include "core/kernels/scan_kernel.h"
 
 namespace gdim {
-
-namespace {
-
-/// XOR-popcount over n words — the same Hamming the scan kernels compute,
-/// in raw-pointer form for centroid rows.
-int HammingWords(const uint64_t* a, const uint64_t* b, size_t n) {
-  int distance = 0;
-  for (size_t w = 0; w < n; ++w) {
-    distance += std::popcount(a[w] ^ b[w]);
-  }
-  return distance;
-}
-
-}  // namespace
 
 IvfIndex IvfIndex::Build(const PackedBitMatrix& rows, int bucket_override) {
   IvfIndex index;
@@ -49,14 +35,13 @@ IvfIndex IvfIndex::Build(const PackedBitMatrix& rows, int bucket_override) {
   // members (the coordinate-wise median under Hamming distance). Ties go
   // to 1, empty buckets keep their centroid; every step is a pure function
   // of the rows, so refinement is deterministic.
-  const size_t wpr = rows.words_per_row();
   for (int round = 0; round < 2; ++round) {
     std::vector<std::vector<int>> ones(
         static_cast<size_t>(buckets),
         std::vector<int>(static_cast<size_t>(p), 0));
     std::vector<int> members(static_cast<size_t>(buckets), 0);
     for (int row = 0; row < n; ++row) {
-      const int b = index.NearestCentroid(rows.row(row), wpr);
+      const int b = index.NearestBuckets(rows.row(row), 1).front();
       ++members[static_cast<size_t>(b)];
       const std::vector<uint8_t> bits = rows.UnpackRow(row);
       std::vector<int>& count = ones[static_cast<size_t>(b)];
@@ -87,7 +72,7 @@ IvfIndex IvfIndex::Build(const PackedBitMatrix& rows, int bucket_override) {
   // Final assignment pass builds the postings, ascending by construction.
   index.postings_.assign(static_cast<size_t>(buckets), {});
   for (int row = 0; row < n; ++row) {
-    const int b = index.NearestCentroid(rows.row(row), wpr);
+    const int b = index.NearestBuckets(rows.row(row), 1).front();
     index.postings_[static_cast<size_t>(b)].push_back(row);
   }
   return index;
@@ -113,7 +98,8 @@ void IvfIndex::AddRow(const uint64_t* words, size_t words_per_row, int row) {
     postings_.push_back({row});
     return;
   }
-  const int b = NearestCentroid(words, words_per_row);
+  GDIM_DCHECK(words_per_row == centroids_.words_per_row());
+  const int b = NearestBuckets(words, 1).front();
   // Rows only grow, so appending keeps the posting list sorted.
   postings_[static_cast<size_t>(b)].push_back(row);
 }
@@ -130,43 +116,56 @@ void IvfIndex::Renumber(const std::vector<int>& old_to_new) {
   }
 }
 
+std::vector<int> IvfIndex::NearestBuckets(const uint64_t* query,
+                                          int nprobe) const {
+  // Counted from the centroids: Build ranks against them before any
+  // posting list exists.
+  const int buckets = centroids_.num_rows();
+  if (buckets == 0) return {};
+  std::vector<uint32_t> distance(static_cast<size_t>(buckets));
+  ActiveScanKernel().HammingBlock(query, centroids_.row(0),
+                                  centroids_.words_per_row(), buckets,
+                                  distance.data());
+  // Rank buckets by (distance, bucket id) packed into one key: the pair
+  // order makes ties deterministic, and nth_element keeps the common
+  // probes << buckets case O(buckets). Only the probed *set* matters, so
+  // the unspecified prefix order inside nth_element is fine.
+  std::vector<uint64_t> order(static_cast<size_t>(buckets));
+  for (int b = 0; b < buckets; ++b) {
+    order[static_cast<size_t>(b)] =
+        (uint64_t{distance[static_cast<size_t>(b)]} << 32) |
+        static_cast<uint32_t>(b);
+  }
+  const int probes = std::clamp(nprobe, 1, buckets);
+  if (probes < buckets) {
+    std::nth_element(order.begin(), order.begin() + probes, order.end());
+  }
+  std::vector<int> nearest(static_cast<size_t>(probes));
+  for (int i = 0; i < probes; ++i) {
+    nearest[static_cast<size_t>(i)] =
+        static_cast<int>(order[static_cast<size_t>(i)] & 0xffffffffu);
+  }
+  return nearest;
+}
+
 std::vector<int> IvfIndex::Probe(
     const std::vector<uint64_t>& query, int nprobe,
     const std::vector<uint8_t>& tombstones) const {
-  std::vector<int> candidates;
-  const int buckets = num_buckets();
-  if (buckets == 0) return candidates;
-  const size_t wpr = centroids_.words_per_row();
-  GDIM_DCHECK(query.size() >= wpr);
-  const int probes = std::clamp(nprobe, 1, buckets);
-  // Rank buckets by (distance, bucket id): the pair order makes ties
-  // deterministic, and nth_element keeps the common probes << buckets case
-  // O(buckets). Only the probed *set* matters — candidates are re-sorted
-  // below — so the unspecified prefix order inside nth_element is fine.
-  std::vector<std::pair<int, int>> order;
-  order.reserve(static_cast<size_t>(buckets));
-  for (int b = 0; b < buckets; ++b) {
-    order.emplace_back(HammingWords(query.data(), centroids_.row(b), wpr),
-                       b);
-  }
-  if (probes < buckets) {
-    std::nth_element(order.begin(), order.begin() + probes, order.end());
-    order.resize(static_cast<size_t>(probes));
-  }
+  GDIM_DCHECK(query.size() >= centroids_.words_per_row());
+  const std::vector<int> probed = NearestBuckets(query.data(), nprobe);
   size_t pool = 0;
-  for (const auto& [distance, b] : order) {
-    pool += postings_[static_cast<size_t>(b)].size();
-  }
+  for (const int b : probed) pool += postings_[static_cast<size_t>(b)].size();
+  std::vector<int> candidates;
   candidates.reserve(pool);
-  for (const auto& [distance, b] : order) {
+  for (const int b : probed) {
     for (int row : postings_[static_cast<size_t>(b)]) {
       if (tombstones[static_cast<size_t>(row)] == 0) {
         candidates.push_back(row);
       }
     }
   }
-  // The scoring stage's tie-break (score, then physical row == id order)
-  // expects ascending candidates, like every other candidate path.
+  // Callers ranking the pool by (score, physical row) read it ascending,
+  // like every other candidate list.
   std::sort(candidates.begin(), candidates.end());
   return candidates;
 }
@@ -174,22 +173,6 @@ std::vector<int> IvfIndex::Probe(
 const std::vector<int>& IvfIndex::posting(int bucket) const {
   GDIM_CHECK(bucket >= 0 && bucket < num_buckets());
   return postings_[static_cast<size_t>(bucket)];
-}
-
-int IvfIndex::NearestCentroid(const uint64_t* words,
-                              size_t words_per_row) const {
-  GDIM_DCHECK(centroids_.num_rows() > 0);
-  GDIM_DCHECK(words_per_row == centroids_.words_per_row());
-  int best = 0;
-  int best_distance = HammingWords(words, centroids_.row(0), words_per_row);
-  for (int b = 1; b < centroids_.num_rows(); ++b) {
-    const int distance = HammingWords(words, centroids_.row(b), words_per_row);
-    if (distance < best_distance) {
-      best = b;
-      best_distance = distance;
-    }
-  }
-  return best;
 }
 
 }  // namespace gdim

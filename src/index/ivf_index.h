@@ -87,6 +87,14 @@ class IvfIndex {
   std::vector<int> Probe(const std::vector<uint64_t>& query, int nprobe,
                          const std::vector<uint8_t>& tombstones) const;
 
+  /// The `nprobe` nearest buckets to the packed query by (Hamming distance
+  /// to the centroid, bucket id), in unspecified order; nprobe is clamped
+  /// to [1, num_buckets], and an empty index yields none. Centroid
+  /// distances come from the active scan kernel in one block pass. `query`
+  /// must hold centroids().words_per_row() words. The bucket ranking
+  /// behind Probe, AddRow, and the engine's approximate scan.
+  std::vector<int> NearestBuckets(const uint64_t* query, int nprobe) const;
+
   /// Posted rows of one bucket, ascending; tombstoned rows linger until
   /// Renumber. Observability for tests and invariant checks.
   const std::vector<int>& posting(int bucket) const;
@@ -96,9 +104,6 @@ class IvfIndex {
   const PackedBitMatrix& centroids() const { return centroids_; }
 
  private:
-  /// Nearest centroid by Hamming distance, lowest bucket id on ties.
-  int NearestCentroid(const uint64_t* words, size_t words_per_row) const;
-
   PackedBitMatrix centroids_;  ///< one packed row per bucket
   std::vector<std::vector<int>> postings_;  ///< ascending physical rows
 };

@@ -15,15 +15,6 @@
 
 namespace gdim {
 
-namespace {
-
-/// Sentinel score for tombstoned rows on the full-scan path. Real scores are
-/// finite (sqrt(diff/p) ∈ [0, 1]), so the sentinel sorts strictly last and
-/// can never displace a live row from the top-k.
-constexpr double kRemovedScore = std::numeric_limits<double>::infinity();
-
-}  // namespace
-
 Result<QueryEngine> QueryEngine::FromIndex(PersistedIndex index,
                                            ServeOptions options) {
   const size_t p = index.features.size();
@@ -454,13 +445,11 @@ std::vector<int> QueryEngine::PrefilterCandidateRows(
 Ranking QueryEngine::QueryMappedCandidates(
     const std::vector<uint8_t>& fingerprint, const QueryOptions& options,
     const std::vector<int>& candidate_rows, ServeQueryStats* stats) const {
-  const int k = std::max(options.k, 0);
   WallTimer timer;
   const std::vector<uint64_t> packed_query = base_->PackQuery(fingerprint);
-  std::vector<double> scores;
-  ScoreRows(packed_query, candidate_rows, &scores);
-  Ranking top = TopKCandidates(candidate_rows, scores, k);
-  for (RankedResult& r : top) r.id = row_ids_[static_cast<size_t>(r.id)];
+  HammingTopK top(options.k);
+  OfferRows(packed_query.data(), candidate_rows, &top);
+  Ranking ranking = TakeRanking(&top);
   if (stats != nullptr) {
     stats->latency_ms = timer.Millis();
     int features_on = 0;
@@ -469,7 +458,7 @@ Ranking QueryEngine::QueryMappedCandidates(
     stats->scanned = static_cast<int>(candidate_rows.size());
     stats->prefiltered = true;
   }
-  return top;
+  return ranking;
 }
 
 std::vector<int> QueryEngine::PrefilterCandidates(
@@ -483,20 +472,32 @@ std::vector<int> QueryEngine::PrefilterCandidates(
   return IntersectSupports(std::move(lists));
 }
 
-void QueryEngine::ScoreRows(const std::vector<uint64_t>& packed_query,
+void QueryEngine::OfferRows(const uint64_t* query,
                             const std::vector<int>& rows,
-                            std::vector<double>* scores) const {
-  // Candidate lists are ascending, so base rows form a prefix and delta
-  // rows a suffix; score in place (no per-query candidate-list copies).
-  scores->resize(rows.size());
+                            HammingTopK* top) const {
+  const size_t words = words_per_row();
   const int base_n = base_->num_rows();
-  for (size_t j = 0; j < rows.size(); ++j) {
-    const int row = rows[j];
-    (*scores)[j] =
-        row < base_n
-            ? base_->NormalizedDistance(packed_query, row)
-            : delta_.NormalizedDistance(packed_query, row - base_n);
+  for (const int row : rows) {
+    const uint64_t* row_words =
+        row < base_n ? base_->row(row) : delta_.row(row - base_n);
+    top->Offer(HammingWords(query, row_words, words), row, tombstones_.data());
   }
+}
+
+void QueryEngine::OfferAllRows(const uint64_t* const* queries, int count,
+                               HammingTopK* tops) const {
+  // Base and delta are one physical row space: delta row i is row
+  // base_rows() + i, so the (distance, row) tie-break spans both segments.
+  const ScanKernel& kernel = ActiveScanKernel();
+  ScanTopK(kernel, *base_, queries, count, 0, tombstones_.data(), tops);
+  ScanTopK(kernel, delta_, queries, count, base_->num_rows(),
+           tombstones_.data(), tops);
+}
+
+Ranking QueryEngine::TakeRanking(HammingTopK* top) const {
+  Ranking ranking = top->Take(num_features());
+  for (RankedResult& r : ranking) r.id = row_ids_[static_cast<size_t>(r.id)];
+  return ranking;
 }
 
 Ranking QueryEngine::Query(const Graph& query, const QueryOptions& options,
@@ -538,47 +539,49 @@ Ranking QueryEngine::QueryMapped(const std::vector<uint8_t>& fingerprint,
                   static_cast<int>(candidates.size()) < alive_;
   }
 
-  // Approximate stage 2 (MODE=approx): the IVF probe collects the live
-  // members of the nprobe nearest centroid buckets, and stage 3 then
-  // exact-scores exactly those rows through the same machinery as the
-  // prefiltered path. The answer differs from kFull only by rows the probe
-  // pruned — at NPROBE=all nothing is pruned, the pool is precisely the
-  // live rows, and the ranking is bit-identical to a full scan.
+  // Stage 3: popcount distance scan of one candidate source — the narrowed
+  // candidates, the probed IVF buckets, or every physical row — into the
+  // fused integer top-k selector. Rankings are selected over physical rows
+  // and mapped to external ids; row order is ascending-id, so the
+  // score-then-id tie-break is preserved.
+  //
+  // Approximate stage 2 (MODE=approx) selects over the posting lists of the
+  // nprobe nearest centroid buckets in place. The answer differs from kFull
+  // only by rows the probe pruned — at NPROBE=all every physical row is
+  // offered and the ranking is bit-identical to a full scan.
   const bool approx = options.scan_mode == ScanMode::kApprox;
   double ivf_probe_usec = 0.0;
-  if (approx) {
+  HammingTopK top(k);
+  int scanned;
+  if (prefiltered) {
+    OfferRows(packed_query.data(), candidates, &top);
+    scanned = static_cast<int>(candidates.size());
+  } else if (approx) {
     const int nprobe =
         options.nprobe > 0 ? options.nprobe : ivf_.default_nprobe();
     WallTimer probe_timer;
-    candidates = ivf_.Probe(packed_query, nprobe, tombstones_);
+    const std::vector<int> buckets =
+        ivf_.NearestBuckets(packed_query.data(), nprobe);
     ivf_probe_usec = probe_timer.Micros();
-  }
-
-  // Stage 3: popcount distance scan (narrowed or full) + deterministic rank.
-  // Rankings are computed over physical rows, then mapped to external ids;
-  // row order is ascending-id, so the score-then-id tie-break is preserved.
-  Ranking top;
-  int scanned;
-  std::vector<double> scores;
-  if (prefiltered || approx) {
-    ScoreRows(packed_query, candidates, &scores);
-    top = TopKCandidates(candidates, scores, k);
-    scanned = static_cast<int>(candidates.size());
-  } else {
-    scores.resize(static_cast<size_t>(total_rows()));
-    base_->ScoreAllInto(packed_query, scores.data());
-    delta_.ScoreAllInto(packed_query, scores.data() + base_->num_rows());
-    if (num_tombstones_ > 0) {
-      for (size_t row = 0; row < scores.size(); ++row) {
-        if (tombstones_[row] != 0) scores[row] = kRemovedScore;
+    scanned = 0;
+    for (const int b : buckets) {
+      const std::vector<int>& posting = ivf_.posting(b);
+      OfferRows(packed_query.data(), posting, &top);
+      scanned += static_cast<int>(posting.size());
+      // Postings keep removed rows until Compact; the scan count reports
+      // live rows only, so count the dead ones aside.
+      if (num_tombstones_ > 0) {
+        for (const int row : posting) {
+          scanned -= tombstones_[static_cast<size_t>(row)];
+        }
       }
     }
-    top = TopKByScores(scores, k);
-    // Tombstone sentinels can only appear when k exceeds the live count.
-    while (!top.empty() && top.back().score == kRemovedScore) top.pop_back();
+  } else {
+    const uint64_t* queries[] = {packed_query.data()};
+    OfferAllRows(queries, 1, &top);
     scanned = total_rows();
   }
-  for (RankedResult& r : top) r.id = row_ids_[static_cast<size_t>(r.id)];
+  Ranking ranking = TakeRanking(&top);
 
   if (stats != nullptr) {
     stats->latency_ms = timer.Millis();
@@ -589,7 +592,7 @@ Ranking QueryEngine::QueryMapped(const std::vector<uint8_t>& fingerprint,
     stats->rows_pruned = approx ? alive_ - scanned : 0;
     stats->ivf_probe_usec = ivf_probe_usec;
   }
-  return top;
+  return ranking;
 }
 
 void FillServeBatchReport(double wall_ms,
@@ -652,36 +655,12 @@ std::vector<Ranking> QueryEngine::QueryMappedTile(
     query_ptrs[static_cast<size_t>(q)] =
         packed[static_cast<size_t>(q)].data();
   }
-  // One score column per query; base and delta fill disjoint row ranges of
-  // every column, exactly like the single-query full-scan path.
-  std::vector<std::vector<double>> scores(
-      static_cast<size_t>(count),
-      std::vector<double>(static_cast<size_t>(total)));
-  std::vector<double*> outs(static_cast<size_t>(count));
+  // One selector per query, fed by the same row-block passes.
+  std::vector<HammingTopK> tops(static_cast<size_t>(count), HammingTopK(k));
+  OfferAllRows(query_ptrs.data(), count, tops.data());
   for (int q = 0; q < count; ++q) {
-    outs[static_cast<size_t>(q)] = scores[static_cast<size_t>(q)].data();
-  }
-  base_->ScoreAllMultiInto(query_ptrs.data(), count, outs.data());
-  if (delta_.num_rows() > 0) {
-    std::vector<double*> delta_outs(static_cast<size_t>(count));
-    for (int q = 0; q < count; ++q) {
-      delta_outs[static_cast<size_t>(q)] =
-          outs[static_cast<size_t>(q)] + base_->num_rows();
-    }
-    delta_.ScoreAllMultiInto(query_ptrs.data(), count, delta_outs.data());
-  }
-
-  for (int q = 0; q < count; ++q) {
-    std::vector<double>& column = scores[static_cast<size_t>(q)];
-    if (num_tombstones_ > 0) {
-      for (size_t row = 0; row < column.size(); ++row) {
-        if (tombstones_[row] != 0) column[row] = kRemovedScore;
-      }
-    }
-    Ranking top = TopKByScores(column, k);
-    while (!top.empty() && top.back().score == kRemovedScore) top.pop_back();
-    for (RankedResult& r : top) r.id = row_ids_[static_cast<size_t>(r.id)];
-    results[static_cast<size_t>(q)] = std::move(top);
+    results[static_cast<size_t>(q)] =
+        TakeRanking(&tops[static_cast<size_t>(q)]);
   }
 
   if (stats != nullptr) {

@@ -24,7 +24,7 @@ namespace gdim {
 struct ServeOptions {
   /// Worker threads for QueryBatch; 0 = DefaultThreadCount(). Results are
   /// identical for every thread count (queries are independent and the
-  /// per-query ranking uses the deterministic RankByScores order).
+  /// per-query ranking uses the deterministic score-then-id order).
   int threads = 0;
 
   /// Stage-2 prefilter: restrict the distance scan to database graphs that
@@ -133,7 +133,10 @@ PersistedIvf PersistIvf(const IvfIndex& ivf,
 /// layout, and answers batched top-k queries through a three-stage hot path —
 ///   1. fingerprint the query onto the selected dimension (VF2 matching),
 ///   2. optionally prefilter candidates via the feature inverted lists,
-///   3. popcount-Hamming distance scan over the packed bit matrices.
+///   3. popcount scan with fused integer top-k over one candidate source
+///      (all rows, the probed IVF buckets, or the prefilter candidates):
+///      rows are selected on their integer Hamming distance, and scores are
+///      computed for the k survivors only.
 /// No MCS computation and no graph algorithm other than stage 1 runs at
 /// query time, which is the paper's whole online-search proposition.
 ///
@@ -375,10 +378,20 @@ class QueryEngine {
   std::vector<int> PrefilterCandidates(
       const std::vector<uint8_t>& fingerprint) const;
 
-  /// Stage-3 subset scan across both segments (prefiltered path).
-  void ScoreRows(const std::vector<uint64_t>& packed_query,
-                 const std::vector<int>& rows,
-                 std::vector<double>* scores) const;
+  /// Stage 3 over an explicit row list (prefilter candidates, IVF
+  /// postings): offers each physical row at its Hamming distance to the
+  /// packed query; removed rows never enter.
+  void OfferRows(const uint64_t* query, const std::vector<int>& rows,
+                 HammingTopK* top) const;
+
+  /// Stage 3 over every physical row, base then delta, for `count` packed
+  /// queries at once: tops[q] selects for queries[q].
+  void OfferAllRows(const uint64_t* const* queries, int count,
+                    HammingTopK* tops) const;
+
+  /// Empties a selector into the answer: survivors scored, physical rows
+  /// mapped to external ids.
+  Ranking TakeRanking(HammingTopK* top) const;
 
   ServeOptions options_;
   FeatureMapper mapper_{GraphDatabase{}};

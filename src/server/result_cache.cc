@@ -1,6 +1,7 @@
 #include "server/result_cache.h"
 
 #include <cstring>
+#include <memory>
 #include <utility>
 
 #include "core/packed_bits.h"
@@ -9,14 +10,16 @@ namespace gdim {
 
 namespace {
 
-/// Fixed per-entry charge covering the list node, the map slot, and the key
-/// copy the map holds — so a budget of N bytes bounds real memory at
-/// roughly N, not N plus unbounded bookkeeping.
+/// Fixed per-entry charge covering the list node and the map slot — so a
+/// budget of N bytes bounds real memory at roughly N, not N plus unbounded
+/// bookkeeping.
 constexpr size_t kEntryOverheadBytes = 128;
 
-size_t EntryBytes(const std::string& key, const Ranking& ranking) {
-  return kEntryOverheadBytes + 2 * key.size() +
-         ranking.size() * sizeof(RankedResult);
+/// Payload bytes per ranked result: the id, then the score.
+constexpr size_t kResultBytes = sizeof(int) + sizeof(double);
+
+size_t EntryBytes(size_t key_size, size_t num_results) {
+  return kEntryOverheadBytes + key_size + num_results * kResultBytes;
 }
 
 }  // namespace
@@ -65,22 +68,48 @@ std::optional<Ranking> ResultCache::Lookup(const std::string& key,
   }
   lru_.splice(lru_.begin(), lru_, found->second);
   ++hits_;
-  return found->second->ranking;
+  const Entry& entry = *found->second;
+  const char* ids = entry.data.get() + entry.key_size;
+  const char* scores = ids + entry.num_results * sizeof(int);
+  Ranking ranking(entry.num_results);
+  for (size_t i = 0; i < ranking.size(); ++i) {
+    std::memcpy(&ranking[i].id, ids + i * sizeof(int), sizeof(int));
+    std::memcpy(&ranking[i].score, scores + i * sizeof(double),
+                sizeof(double));
+  }
+  return ranking;
 }
 
 void ResultCache::Insert(const std::string& key, uint64_t epoch,
                          const Ranking& ranking) {
-  const size_t bytes = EntryBytes(key, ranking);
-  MutexLock lock(&mu_);
+  const size_t bytes = EntryBytes(key.size(), ranking.size());
   if (bytes > max_bytes_) return;  // larger than the whole budget
+  Entry entry;
+  entry.epoch = epoch;
+  entry.key_size = static_cast<uint32_t>(key.size());
+  entry.num_results = static_cast<uint32_t>(ranking.size());
+  entry.data = std::make_unique_for_overwrite<char[]>(
+      key.size() + ranking.size() * kResultBytes);
+  char* out = entry.data.get();
+  std::memcpy(out, key.data(), key.size());
+  out += key.size();
+  for (const RankedResult& r : ranking) {
+    std::memcpy(out, &r.id, sizeof(int));
+    out += sizeof(int);
+  }
+  for (const RankedResult& r : ranking) {
+    std::memcpy(out, &r.score, sizeof(double));
+    out += sizeof(double);
+  }
+  MutexLock lock(&mu_);
   const auto found = index_.find(key);
   if (found != index_.end()) {
     // Same query re-executed (typically at a newer epoch): replace.
     EvictLocked(found->second);
     ++evictions_;
   }
-  lru_.push_front(Entry{key, epoch, ranking, bytes});
-  index_.emplace(key, lru_.begin());
+  lru_.push_front(std::move(entry));
+  index_.emplace(lru_.front().key(), lru_.begin());
   bytes_ += bytes;
   ++insertions_;
   while (bytes_ > max_bytes_) {
@@ -90,8 +119,8 @@ void ResultCache::Insert(const std::string& key, uint64_t epoch,
 }
 
 void ResultCache::EvictLocked(Lru::iterator it) {
-  bytes_ -= it->bytes;
-  index_.erase(it->key);
+  bytes_ -= EntryBytes(it->key_size, it->num_results);
+  index_.erase(it->key());
   lru_.erase(it);
 }
 

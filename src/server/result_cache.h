@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -80,11 +82,17 @@ class ResultCache {
   ResultCacheStats Stats() const GDIM_EXCLUDES(mu_);
 
  private:
+  /// One cached answer, its payload in a single allocation: the key bytes,
+  /// then the ranking's ids, then its scores (packed, without the padding
+  /// a RankedResult array carries). Memory per entry is what bounds the
+  /// cache's footprint on a stream of distinct queries.
   struct Entry {
-    std::string key;
     uint64_t epoch = 0;
-    Ranking ranking;
-    size_t bytes = 0;
+    uint32_t key_size = 0;
+    uint32_t num_results = 0;
+    std::unique_ptr<char[]> data;
+
+    std::string_view key() const { return {data.get(), key_size}; }
   };
   using Lru = std::list<Entry>;
 
@@ -99,7 +107,10 @@ class ResultCache {
   uint64_t evictions_ GDIM_GUARDED_BY(mu_) = 0;
   uint64_t insertions_ GDIM_GUARDED_BY(mu_) = 0;
   Lru lru_ GDIM_GUARDED_BY(mu_);  ///< front = most recently used
-  std::unordered_map<std::string, Lru::iterator> index_ GDIM_GUARDED_BY(mu_);
+  /// Keyed by views of the entries' own keys (entries never move their
+  /// payload), so each key is stored once.
+  std::unordered_map<std::string_view, Lru::iterator> index_
+      GDIM_GUARDED_BY(mu_);
 };
 
 }  // namespace gdim

@@ -31,7 +31,11 @@ Status GraphStore::Remove(int id) {
   if (at < 0 || entries_[static_cast<size_t>(at)].dead) {
     return Status::NotFound("no live graph with id " + std::to_string(id));
   }
-  entries_[static_cast<size_t>(at)].dead = true;
+  Entry& entry = entries_[static_cast<size_t>(at)];
+  entry.dead = true;
+  // Under churn without compaction, dead graphs would otherwise pin their
+  // vertex and adjacency storage until the next Compact.
+  entry.graph = Graph();
   --live_;
   return Status::OK();
 }

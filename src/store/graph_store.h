@@ -56,8 +56,9 @@ class GraphStore {
   /// engine-assigned external ids, which already are.
   Status Put(int id, Graph graph) GDIM_REQUIRES(writer_role_);
 
-  /// Marks the graph with this id dead; NotFound if no live entry has it.
-  /// Memory is reclaimed by the next Compact(), not here.
+  /// Marks the graph with this id dead and releases the graph's own memory
+  /// (no reader can reach a dead graph); NotFound if no live entry has it.
+  /// The entry's slot is reclaimed by the next Compact().
   Status Remove(int id) GDIM_REQUIRES(writer_role_);
 
   /// Prunes dead entries; returns how many were reclaimed.
@@ -69,7 +70,7 @@ class GraphStore {
   int total_entries() const { return static_cast<int>(entries_.size()); }
 
   /// The live graph with this id, or nullptr. The pointer is valid until
-  /// the next Compact().
+  /// the next Compact(); a Remove of this id empties the graph it shows.
   const Graph* FindLive(int id) const;
 
   /// External ids of the live graphs, ascending.

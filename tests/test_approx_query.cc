@@ -31,6 +31,9 @@
 #include "common/random.h"
 #include "common/sync.h"
 #include "core/index_io.h"
+#include "core/objective.h"
+#include "core/packed_bits.h"
+#include "core/topk.h"
 #include "graph/graph.h"
 #include "serve/query_engine.h"
 #include "server/batch_executor.h"
@@ -232,6 +235,158 @@ TEST(ApproxQueryTest, MaintenanceChurnPreservesNprobeAllIdentity) {
                       query, {.k = kTopK, .scan_mode = ScanMode::kFull}));
       }
     }
+  }
+}
+
+/// The reference answer over a persisted live state: byte-vector scores
+/// for every row, the full RankByScores order, rows outside `allowed`
+/// (when given) dropped, then the first k, with external ids.
+Ranking ReferenceTopK(const PersistedIndex& live,
+                      const std::vector<uint8_t>& query,
+                      const std::set<int>* allowed, int k) {
+  std::vector<double> scores;
+  for (const auto& row : live.db_bits) {
+    scores.push_back(BinaryMappedDistance(query, row));
+  }
+  Ranking kept;
+  for (RankedResult r : RankByScores(scores)) {
+    r.id = live.ids[static_cast<size_t>(r.id)];
+    if (allowed == nullptr || allowed->count(r.id) != 0) kept.push_back(r);
+  }
+  return TopK(kept, k);
+}
+
+/// The ids a default-width MODE=approx query may return: the union over
+/// shards of each shard's live probe pool, lifted to external ids through
+/// the frozen row-id column.
+std::set<int> ApproxPoolIds(const ShardedEngine& engine,
+                            const FrozenShardedState& frozen,
+                            const std::vector<uint8_t>& query) {
+  std::set<int> ids;
+  for (int s = 0; s < engine.num_shards(); ++s) {
+    const FrozenEngineState& shard = frozen.shards[static_cast<size_t>(s)];
+    std::vector<uint64_t> packed = PackedBitMatrix::PackBits(query);
+    packed.resize(frozen.words_per_row, 0);
+    const int nprobe = engine.shard(s).ivf_index().default_nprobe();
+    for (const int row : shard.ivf.Probe(packed, nprobe, shard.tombstones)) {
+      ids.insert(shard.row_ids[static_cast<size_t>(row)]);
+    }
+  }
+  return ids;
+}
+
+// Every stage-3 candidate source selects through the fused integer top-k:
+// after random insert/remove/compact churn (tombstones left in base and
+// delta), each must equal the reference ranking over the live rows — the
+// full scan, NPROBE=all (also bit-identical to the full scan), the default
+// probe width (restricted to the probed pool), the containment prefilter
+// (restricted to the candidates when it narrows), and the tiled scan at
+// every tile width.
+TEST(ApproxQueryTest, FusedSelectionMatchesReferenceUnderChurn) {
+  const Corpus corpus = ClusteredCorpus(/*seed=*/31);
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedOptions opts = Sharded(shards);
+    opts.serve.containment_prefilter = true;
+    auto engine = ShardedEngine::FromIndex(IndexFor(corpus.rows), opts);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ScopedRole writer(&engine->writer_role());
+    Rng rng(32);
+    int narrowed = 0;
+    for (int round = 0; round < 4; ++round) {
+      SCOPED_TRACE("round=" + std::to_string(round));
+      for (int step = 0; step < 60; ++step) {
+        const uint64_t coin = rng.UniformU64(20);
+        if (coin < 9) {
+          ASSERT_TRUE(engine
+                          ->InsertMapped(Perturb(
+                              corpus.prototypes[rng.UniformU64(kClusters)],
+                              /*denominator=*/12, &rng))
+                          .ok());
+        } else if (coin < 19) {
+          const std::vector<int> alive = engine->alive_ids();
+          ASSERT_FALSE(alive.empty());
+          ASSERT_TRUE(
+              engine->Remove(alive[rng.UniformU64(alive.size())]).ok());
+        } else {
+          engine->Compact();
+        }
+      }
+      ASSERT_GT(engine->tombstoned_rows(), 0);
+      const PersistedIndex live = engine->ToPersistedIndex();
+      const FrozenShardedState frozen = engine->Freeze();
+      std::vector<std::vector<uint8_t>> queries;
+      for (int q = 0; q < 8; ++q) {
+        const auto& proto =
+            corpus.prototypes[static_cast<size_t>(q % kClusters)];
+        // Even queries are near a prototype; odd ones keep a third of its
+        // bits, so their containment candidates are numerous but narrower
+        // than the live set.
+        std::vector<uint8_t> query = Perturb(proto, /*denominator=*/10, &rng);
+        if (q % 2 == 1) {
+          for (auto& bit : query) {
+            if (rng.UniformU64(3) != 0) bit = 0;
+          }
+        }
+        queries.push_back(std::move(query));
+      }
+      for (const int k : {1, kTopK, 1000}) {
+        for (const std::vector<uint8_t>& query : queries) {
+          const Ranking full = ReferenceTopK(live, query, nullptr, k);
+          EXPECT_EQ(engine->QueryMapped(
+                        query, {.k = k, .scan_mode = ScanMode::kFull}),
+                    full);
+          EXPECT_EQ(engine->QueryMapped(query,
+                                        {.k = k,
+                                         .scan_mode = ScanMode::kApprox,
+                                         .nprobe = kNprobeAll}),
+                    full);
+          const std::set<int> pool = ApproxPoolIds(*engine, frozen, query);
+          EXPECT_EQ(engine->QueryMapped(
+                        query, {.k = k, .scan_mode = ScanMode::kApprox}),
+                    ReferenceTopK(live, query, &pool, k));
+
+          std::set<int> contains_all;
+          int features_on = 0;
+          for (const uint8_t bit : query) features_on += bit;
+          for (size_t i = 0; i < live.db_bits.size(); ++i) {
+            bool all = true;
+            for (size_t r = 0; r < query.size(); ++r) {
+              if (query[r] != 0 && live.db_bits[i][r] == 0) all = false;
+            }
+            if (all) contains_all.insert(live.ids[i]);
+          }
+          const int candidates = static_cast<int>(contains_all.size());
+          const bool narrows = features_on > 0 && candidates > 0 &&
+                               candidates >= k &&
+                               candidates < engine->num_graphs();
+          ServeQueryStats stats;
+          EXPECT_EQ(engine->QueryMapped(query, {.k = k}, &stats),
+                    ReferenceTopK(live, query,
+                                  narrows ? &contains_all : nullptr, k));
+          EXPECT_EQ(stats.prefiltered, narrows);
+          narrowed += narrows ? 1 : 0;
+        }
+        // The tiled scan, per shard against the shard's own live rows.
+        for (int s = 0; s < engine->num_shards(); ++s) {
+          const QueryEngine& shard = engine->shard(s);
+          const PersistedIndex shard_live = shard.ToPersistedIndex();
+          for (int width = 1; width <= 8; ++width) {
+            const std::vector<Ranking> tiled = shard.QueryMappedTile(
+                queries.data(), width,
+                {.k = k, .scan_mode = ScanMode::kFull});
+            for (int q = 0; q < width; ++q) {
+              EXPECT_EQ(tiled[static_cast<size_t>(q)],
+                        ReferenceTopK(shard_live,
+                                      queries[static_cast<size_t>(q)],
+                                      nullptr, k))
+                  << "shard=" << s << " width=" << width << " q=" << q;
+            }
+          }
+        }
+      }
+    }
+    EXPECT_GT(narrowed, 0);  // the narrowed candidate path did run
   }
 }
 

@@ -29,12 +29,14 @@ TEST(GraphStoreTest, PutFindRemoveLifecycle) {
   EXPECT_EQ(store.total_entries(), 3);
   EXPECT_EQ(store.live_ids(), (std::vector<int>{0, 3, 7}));
 
-  ASSERT_NE(store.FindLive(3), nullptr);
-  EXPECT_EQ(*store.FindLive(3), LabelGraph({3}));
+  const Graph* three = store.FindLive(3);
+  ASSERT_NE(three, nullptr);
+  EXPECT_EQ(*three, LabelGraph({3}));
   EXPECT_EQ(store.FindLive(1), nullptr);  // never stored
   EXPECT_EQ(store.FindLive(8), nullptr);  // past the end
 
   ASSERT_TRUE(store.Remove(3).ok());
+  EXPECT_TRUE(three->Empty());  // the dead graph's memory is released
   EXPECT_EQ(store.Remove(3).code(), StatusCode::kNotFound);  // already dead
   EXPECT_EQ(store.Remove(1).code(), StatusCode::kNotFound);
   EXPECT_EQ(store.FindLive(3), nullptr);

@@ -16,6 +16,7 @@
 #include "core/kernels/scan_kernel.h"
 #include "core/objective.h"
 #include "core/packed_bits.h"
+#include "core/topk.h"
 #include "gtest/gtest.h"
 #include "serve/query_engine.h"
 
@@ -212,10 +213,10 @@ TEST(ScanKernelTest, DegenerateShapes) {
   }
 }
 
-// ScoreAllMultiInto (the engine-facing tiled entry point) must agree with
-// per-row NormalizedDistance on whatever kernel the process is running —
-// including when the matrix has tombstone-style all-zero and duplicate rows.
-TEST(ScanKernelTest, ScoreAllMultiMatchesPerRowScores) {
+// ScanTopK (the engine-facing tiled entry point) must rank exactly like the
+// byte-vector reference on every kernel — including when the matrix has
+// tombstone-style all-zero and duplicate rows.
+TEST(ScanKernelTest, ScanTopKMultiMatchesPerRowScores) {
   Rng rng(31337);
   const int num_bits = 257;
   auto rows = RandomBitRows(60, num_bits, 0.3, &rng);
@@ -227,20 +228,13 @@ TEST(ScanKernelTest, ScoreAllMultiMatchesPerRowScores) {
   std::vector<const uint64_t*> query_ptrs;
   for (const auto& q : raw_queries) packed.push_back(matrix.PackQuery(q));
   for (const auto& q : packed) query_ptrs.push_back(q.data());
-  std::vector<std::vector<double>> scores(
-      5, std::vector<double>(static_cast<size_t>(matrix.num_rows())));
-  std::vector<double*> outs;
-  for (auto& s : scores) outs.push_back(s.data());
-  matrix.ScoreAllMultiInto(query_ptrs.data(), 5, outs.data());
-  for (int q = 0; q < 5; ++q) {
-    for (int r = 0; r < matrix.num_rows(); ++r) {
-      EXPECT_EQ(scores[static_cast<size_t>(q)][static_cast<size_t>(r)],
-                matrix.NormalizedDistance(packed[static_cast<size_t>(q)], r))
-          << "q=" << q << " r=" << r;
-      EXPECT_EQ(scores[static_cast<size_t>(q)][static_cast<size_t>(r)],
-                BinaryMappedDistance(raw_queries[static_cast<size_t>(q)],
-                                     rows[static_cast<size_t>(r)]))
-          << "q=" << q << " r=" << r;
+  for (const ScanKernel* kernel : HostKernels()) {
+    std::vector<HammingTopK> tops(5, HammingTopK(matrix.num_rows()));
+    ScanTopK(*kernel, matrix, query_ptrs.data(), 5, 0, nullptr, tops.data());
+    for (int q = 0; q < 5; ++q) {
+      EXPECT_EQ(tops[static_cast<size_t>(q)].Take(num_bits),
+                MappedRanking(raw_queries[static_cast<size_t>(q)], rows))
+          << kernel->name() << " q=" << q;
     }
   }
 }

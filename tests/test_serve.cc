@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -54,8 +55,8 @@ TEST(PackedBitMatrixTest, HammingAndNormalizedDistanceMatchReference) {
                 rows[static_cast<size_t>(i)][static_cast<size_t>(r)];
       }
       EXPECT_EQ(m.HammingDistance(packed, i), diff);
-      EXPECT_DOUBLE_EQ(m.NormalizedDistance(packed, i),
-                       BinaryMappedDistance(q, rows[static_cast<size_t>(i)]));
+      EXPECT_EQ(HammingScore(static_cast<uint32_t>(diff), p),
+                BinaryMappedDistance(q, rows[static_cast<size_t>(i)]));
     }
   }
 }
@@ -75,44 +76,76 @@ TEST(PackedBitMatrixTest, PackedMappedRankingEqualsByteMappedRanking) {
   }
 }
 
-TEST(PackedBitMatrixTest, SubsetScoresMatchFullScan) {
+// Selecting over a candidate subset, offered in any order, equals the full
+// ranking restricted to the subset — the prefilter and IVF-posting paths.
+TEST(PackedBitMatrixTest, SubsetSelectionMatchesFullRanking) {
   Rng rng(23);
   const auto rows = RandomBitRows(60, 90, 0.35, &rng);
   const PackedBitMatrix m = PackedBitMatrix::FromRows(rows);
-  std::vector<uint64_t> q =
-      PackedBitMatrix::PackBits(RandomBitRows(1, 90, 0.35, &rng)[0]);
-  std::vector<double> all, subset;
-  m.ScoreAll(q, &all);
-  const std::vector<int> candidates = {0, 3, 17, 41, 59};
-  m.ScoreSubset(q, candidates, &subset);
-  ASSERT_EQ(subset.size(), candidates.size());
-  for (size_t j = 0; j < candidates.size(); ++j) {
-    EXPECT_DOUBLE_EQ(subset[j], all[static_cast<size_t>(candidates[j])]);
+  const std::vector<uint8_t> query = RandomBitRows(1, 90, 0.35, &rng)[0];
+  const std::vector<uint64_t> q = PackedBitMatrix::PackBits(query);
+  const std::vector<int> candidates = {41, 0, 59, 17, 3};
+  Ranking expected;
+  for (const RankedResult& r : MappedRanking(query, rows)) {
+    if (std::find(candidates.begin(), candidates.end(), r.id) !=
+        candidates.end()) {
+      expected.push_back(r);
+    }
+  }
+  for (int k : {0, 1, 3, 5, 9}) {
+    HammingTopK top(k);
+    for (const int row : candidates) {
+      top.Offer(static_cast<uint32_t>(m.HammingDistance(q, row)), row,
+                nullptr);
+    }
+    EXPECT_EQ(top.Take(m.num_bits()), TopK(expected, k)) << "k=" << k;
   }
 }
 
-TEST(TopKByScoresTest, EqualsFullSortThenTruncate) {
+// The selector against a full sort of the scores it implies: many tied
+// distances, offered in ascending row order (full scans) and shuffled (IVF
+// postings arrive bucket by bucket).
+TEST(HammingTopKTest, EqualsFullSortThenTruncate) {
   Rng rng(29);
+  const int p = 40;
+  std::vector<uint32_t> distances(500);
   std::vector<double> scores(500);
-  for (auto& s : scores) {
-    s = static_cast<double>(rng.UniformU64(40)) / 40.0;  // many ties
+  for (size_t i = 0; i < distances.size(); ++i) {
+    distances[i] = static_cast<uint32_t>(rng.UniformU64(p + 1));
+    scores[i] = HammingScore(distances[i], p);
   }
+  std::vector<int> shuffled(500);
+  for (int i = 0; i < 500; ++i) shuffled[static_cast<size_t>(i)] = i;
+  rng.Shuffle(&shuffled);
   for (int k : {0, 1, 10, 499, 500, 600}) {
-    EXPECT_EQ(TopKByScores(scores, k), TopK(RankByScores(scores), k))
-        << "k=" << k;
+    HammingTopK in_order(k);
+    HammingTopK any_order(k);
+    for (int i = 0; i < 500; ++i) {
+      in_order.Offer(distances[static_cast<size_t>(i)], i, nullptr);
+      const int row = shuffled[static_cast<size_t>(i)];
+      any_order.Offer(distances[static_cast<size_t>(row)], row, nullptr);
+    }
+    const Ranking expected = TopK(RankByScores(scores), k);
+    EXPECT_EQ(in_order.Take(p), expected) << "k=" << k;
+    EXPECT_EQ(any_order.Take(p), expected) << "k=" << k;
   }
 
-  // Candidate-set counterpart, non-contiguous ids with the same ties.
-  std::vector<int> ids;
-  std::vector<double> sub_scores;
-  for (int i = 0; i < 500; i += 3) {
-    ids.push_back(i);
-    sub_scores.push_back(scores[static_cast<size_t>(i)]);
+  // Candidate-set counterpart, non-contiguous ids with the same ties; the
+  // excluded rows stand in as tombstones, which must never enter.
+  std::vector<uint8_t> removed(500, 1);
+  Ranking candidates;
+  for (const RankedResult& r : RankByScores(scores)) {
+    if (r.id % 3 == 0) {
+      candidates.push_back(r);
+      removed[static_cast<size_t>(r.id)] = 0;
+    }
   }
   for (int k : {0, 1, 10, 200}) {
-    EXPECT_EQ(TopKCandidates(ids, sub_scores, k),
-              TopK(RankCandidates(ids, sub_scores), k))
-        << "k=" << k;
+    HammingTopK top(k);
+    for (int i = 0; i < 500; ++i) {
+      top.Offer(distances[static_cast<size_t>(i)], i, removed.data());
+    }
+    EXPECT_EQ(top.Take(p), TopK(candidates, k)) << "k=" << k;
   }
 }
 

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "common/random.h"
+#include "core/kernels/scan_kernel.h"
 #include "core/mapper.h"
+#include "core/objective.h"
+#include "core/packed_bits.h"
 #include "core/topk.h"
 #include "test_util.h"
 
@@ -24,6 +31,93 @@ TEST(TopKTest, TruncatesAndClamps) {
   EXPECT_EQ(TopK(r, 2).size(), 2u);
   EXPECT_EQ(TopK(r, 10).size(), 3u);
   EXPECT_EQ(TopK(r, 0).size(), 0u);
+}
+
+// Integer selection is exact only because the score conversion preserves
+// the distance order: sqrt(d / p) must be strictly increasing in d over
+// 0..p for every width a dimension can have.
+TEST(HammingScoreTest, StrictlyIncreasingInDistanceForEveryWidth) {
+  for (int p = 1; p <= 4096; ++p) {
+    double previous = HammingScore(0, p);
+    for (int d = 1; d <= p; ++d) {
+      const double score = HammingScore(static_cast<uint32_t>(d), p);
+      ASSERT_LT(previous, score) << "p=" << p << " d=" << d;
+      ASSERT_EQ(score, std::sqrt(static_cast<double>(d) /
+                                 static_cast<double>(p)));
+      previous = score;
+    }
+  }
+  EXPECT_EQ(HammingScore(0, 0), 0.0);  // zero-width dimension
+}
+
+/// The reference answer: byte-vector scores for every row, the full
+/// RankByScores order, removed rows dropped, then the first k.
+Ranking ReferenceTopK(const std::vector<uint8_t>& query,
+                      const std::vector<std::vector<uint8_t>>& rows,
+                      const std::vector<uint8_t>& removed, int k) {
+  std::vector<double> scores;
+  for (const auto& row : rows) {
+    scores.push_back(BinaryMappedDistance(query, row));
+  }
+  Ranking live;
+  for (const RankedResult& r : RankByScores(scores)) {
+    if (removed[static_cast<size_t>(r.id)] == 0) live.push_back(r);
+  }
+  return TopK(live, k);
+}
+
+// The fused scan-and-select path against the reference for every kernel this
+// host runs: hostile widths (including zero), k from nothing to more than
+// the live rows, a base segment crossing a scan-block boundary plus a delta
+// segment read as one row space, tombstones in both, and all-identical rows
+// whose order rests on the id tie-break alone.
+TEST(HammingTopKTest, FusedScanMatchesReferenceOnEveryKernel) {
+  Rng rng(1301);
+  constexpr int kBaseRows = 300;
+  constexpr int kDeltaRows = 45;
+  constexpr int kQueries = 3;
+  for (const int p : {0, 1, 63, 64, 65, 128, 256}) {
+    for (const bool identical : {false, true}) {
+      std::vector<std::vector<uint8_t>> rows =
+          RandomBitRows(kBaseRows + kDeltaRows, p, 0.4, &rng);
+      if (identical) {
+        for (auto& row : rows) row = rows.front();
+      }
+      const PackedBitMatrix base = PackedBitMatrix::FromRows(
+          {rows.begin(), rows.begin() + kBaseRows}, p);
+      const PackedBitMatrix delta = PackedBitMatrix::FromRows(
+          {rows.begin() + kBaseRows, rows.end()}, p);
+      std::vector<uint8_t> removed(rows.size(), 0);
+      for (auto& r : removed) r = rng.UniformU64(5) == 0 ? 1 : 0;
+      removed[3] = 1;               // at least one base tombstone
+      removed[kBaseRows + 1] = 1;   // and one delta tombstone
+      int live = 0;
+      for (const uint8_t r : removed) live += r == 0 ? 1 : 0;
+
+      const auto queries = RandomBitRows(kQueries, p, 0.4, &rng);
+      std::vector<std::vector<uint64_t>> packed;
+      std::vector<const uint64_t*> query_ptrs;
+      for (const auto& q : queries) packed.push_back(base.PackQuery(q));
+      for (const auto& q : packed) query_ptrs.push_back(q.data());
+
+      for (const ScanKernel* kernel : SupportedScanKernels()) {
+        for (const int k : {0, 1, 10, live + 5}) {
+          std::vector<HammingTopK> tops(kQueries, HammingTopK(k));
+          ScanTopK(*kernel, base, query_ptrs.data(), kQueries, 0,
+                   removed.data(), tops.data());
+          ScanTopK(*kernel, delta, query_ptrs.data(), kQueries, kBaseRows,
+                   removed.data(), tops.data());
+          for (int q = 0; q < kQueries; ++q) {
+            EXPECT_EQ(tops[static_cast<size_t>(q)].Take(p),
+                      ReferenceTopK(queries[static_cast<size_t>(q)], rows,
+                                    removed, k))
+                << kernel->name() << " p=" << p << " identical=" << identical
+                << " k=" << k << " q=" << q;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(ExactRankingTest, SelfIsClosest) {
