@@ -186,11 +186,13 @@ void BM_Delta2Pair(benchmark::State& state) {
 }
 BENCHMARK(BM_Delta2Pair);
 
-// Stage 3 of one query on one serving shard: a MODE=full QueryMapped over
-// 100k clustered 128-bit rows (rows are 512 random prototypes with each bit
-// flipped w.p. 1/8, like the fingerprint serving corpus), k = 10: query
-// packing, the popcount scan with fused integer top-k, and the id mapping.
-void BM_ShardScanTopK(benchmark::State& state) {
+// Stage 3 of one query on one serving shard: a QueryMapped over 100k
+// clustered 128-bit rows (rows are 512 random prototypes with each bit
+// flipped w.p. 1/8, like the fingerprint serving corpus), k = 10, in
+// `mode`: query packing, the popcount scan with fused integer top-k, and
+// for MODE=approx the centroid ranking at the default NPROBE. Items are
+// the rows scored.
+void RunShardTopK(benchmark::State& state, ScanMode mode) {
   constexpr int kRows = 100000;
   constexpr int kBits = 128;
   Rng rng(2014);
@@ -223,16 +225,31 @@ void BM_ShardScanTopK(benchmark::State& state) {
   }
   std::vector<std::vector<uint8_t>> queries(64);
   for (auto& q : queries) draw(&q);
-  const QueryOptions options{.k = 10, .scan_mode = ScanMode::kFull};
+  const QueryOptions options{.k = 10, .scan_mode = mode};
   size_t qi = 0;
+  int64_t scanned = 0;
+  ServeQueryStats stats;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine->QueryMapped(queries[qi], options));
+    benchmark::DoNotOptimize(
+        engine->QueryMapped(queries[qi], options, &stats));
+    scanned += stats.scanned;
     qi = (qi + 1) % queries.size();
   }
-  state.SetItemsProcessed(state.iterations() * kRows);
+  state.SetItemsProcessed(scanned);
   state.SetLabel(std::string("kernel=") + ActiveScanKernel().name());
 }
+
+void BM_ShardScanTopK(benchmark::State& state) {
+  RunShardTopK(state, ScanMode::kFull);
+}
 BENCHMARK(BM_ShardScanTopK)->Unit(benchmark::kMicrosecond);
+
+// The same shard in MODE=approx: the probed buckets' contiguous ranges
+// stream through the same block scan.
+void BM_ShardApproxTopK(benchmark::State& state) {
+  RunShardTopK(state, ScanMode::kApprox);
+}
+BENCHMARK(BM_ShardApproxTopK)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace gdim

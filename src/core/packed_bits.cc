@@ -84,6 +84,34 @@ int PackedBitMatrix::AppendRow(const std::vector<uint8_t>& bits) {
   return num_rows_++;
 }
 
+void PackedBitMatrix::PermuteRows(const std::vector<int>& order) {
+  GDIM_CHECK(order.size() == static_cast<size_t>(num_rows_))
+      << "row order has " << order.size() << " entries, expected "
+      << num_rows_;
+  const size_t w = words_per_row_;
+  std::vector<bool> placed(order.size(), false);
+  std::vector<uint64_t> held(w);
+  for (size_t start = 0; start < order.size(); ++start) {
+    if (placed[start]) continue;
+    // Walk the cycle through `start`: each row pulls in its source row, and
+    // start's own row waits aside until the cycle closes on it.
+    std::copy_n(words_.data() + start * w, w, held.data());
+    size_t slot = start;
+    for (;;) {
+      placed[slot] = true;
+      const size_t from = static_cast<size_t>(order[slot]);
+      if (from == start) {
+        std::copy_n(held.data(), w, words_.data() + slot * w);
+        break;
+      }
+      GDIM_CHECK(from < order.size() && !placed[from])
+          << "row order is not a permutation";
+      std::copy_n(words_.data() + from * w, w, words_.data() + slot * w);
+      slot = from;
+    }
+  }
+}
+
 int PackedBitMatrix::AppendRowFrom(const PackedBitMatrix& src, int src_row) {
   GDIM_CHECK(src.num_bits_ == num_bits_)
       << "cannot append a " << src.num_bits_ << "-bit row to a " << num_bits_

@@ -13,7 +13,7 @@ namespace gdim {
 
 /// popcount(a ^ b) over `words` words: the exact Hamming distance between
 /// two packed rows, for callers scoring rows one at a time (candidate lists,
-/// IVF postings). Block scans go through a ScanKernel instead.
+/// IVF append lists). Block scans go through a ScanKernel instead.
 inline uint32_t HammingWords(const uint64_t* a, const uint64_t* b,
                              size_t words) {
   uint32_t diff = 0;
@@ -26,8 +26,8 @@ inline uint32_t HammingWords(const uint64_t* a, const uint64_t* b,
 /// The normalized mapped distance sqrt(distance / num_bits) of a Hamming
 /// count, 0 for a zero-width dimension; the one score conversion every scan
 /// path applies, equal bit for bit to BinaryMappedDistance. Strictly
-/// increasing in distance over 0..num_bits, so ranking by (distance, row)
-/// and by (score, row) agree.
+/// increasing in distance over 0..num_bits, so ranking by (distance, id)
+/// and by (score, id) agree.
 inline double HammingScore(uint32_t distance, int num_bits) {
   if (num_bits == 0) return 0.0;
   return std::sqrt(static_cast<double>(distance) /
@@ -104,6 +104,11 @@ class PackedBitMatrix {
   /// Appends a copy of src's row src_row as a word-level copy — no
   /// unpack/repack round trip. Widths must match. The compaction kernel.
   int AppendRowFrom(const PackedBitMatrix& src, int src_row);
+
+  /// Reorders the rows in place: row i becomes the old row order[i].
+  /// `order` must be a permutation of [0, num_rows()). Needs one row and
+  /// num_rows() bits of scratch, not a second copy of the matrix.
+  void PermuteRows(const std::vector<int>& order);
 
   /// Word pointer of row i (words_per_row() words).
   const uint64_t* row(int i) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "common/logging.h"
 #include "common/parallel.h"
@@ -48,13 +49,16 @@ void HammingTopK::Admit(uint64_t key) {
   if (heap_.size() == k_) bound_ = heap_.front();
 }
 
-void HammingTopK::OfferBlock(const uint32_t* distances, int count, int row0,
-                             const uint8_t* tombstones) {
+void HammingTopK::OfferBlock(const uint32_t* distances, int count,
+                             const int* ids, const uint8_t* tombstones) {
   uint32_t nearest = std::numeric_limits<uint32_t>::max();
   for (int i = 0; i < count; ++i) nearest = std::min(nearest, distances[i]);
   // Every key with a distance above the bound's distance is above the bound.
   if (nearest > (bound_ >> 32)) return;
-  for (int i = 0; i < count; ++i) Offer(distances[i], row0 + i, tombstones);
+  for (int i = 0; i < count; ++i) {
+    Offer(distances[i], ids[i],
+          tombstones == nullptr ? nullptr : tombstones + i);
+  }
 }
 
 Ranking HammingTopK::Take(int num_bits) {
@@ -71,19 +75,20 @@ Ranking HammingTopK::Take(int num_bits) {
   return top;
 }
 
-void ScanTopK(const ScanKernel& kernel, const PackedBitMatrix& rows,
-              const uint64_t* const* queries, int num_queries, int row_offset,
-              const uint8_t* tombstones, HammingTopK* tops) {
-  if (num_queries <= 0) return;
+void ScanTopK(const ScanKernel& kernel, const PackedBitMatrix& rows, int begin,
+              int end, const uint64_t* const* queries, int num_queries,
+              const int* ids, const uint8_t* tombstones, HammingTopK* tops) {
+  if (num_queries <= 0 || begin >= end) return;
   std::vector<uint32_t> diffs(static_cast<size_t>(num_queries) *
                               kScanBlockRows);
-  for (int begin = 0; begin < rows.num_rows(); begin += kScanBlockRows) {
-    const int block = std::min(kScanBlockRows, rows.num_rows() - begin);
-    kernel.HammingBlockMulti(queries, num_queries, rows.row(begin),
+  for (int row = begin; row < end; row += kScanBlockRows) {
+    const int block = std::min(kScanBlockRows, end - row);
+    kernel.HammingBlockMulti(queries, num_queries, rows.row(row),
                              rows.words_per_row(), block, diffs.data());
     for (int q = 0; q < num_queries; ++q) {
       tops[q].OfferBlock(diffs.data() + static_cast<size_t>(q) * block, block,
-                         row_offset + begin, tombstones);
+                         ids + row,
+                         tombstones == nullptr ? nullptr : tombstones + row);
     }
   }
 }
@@ -119,8 +124,11 @@ Ranking MappedTopK(const std::vector<uint8_t>& query_bits,
                    const PackedBitMatrix& db_bits, int k) {
   const std::vector<uint64_t> query = db_bits.PackQuery(query_bits);
   const uint64_t* queries[] = {query.data()};
+  std::vector<int> ids(static_cast<size_t>(db_bits.num_rows()));
+  std::iota(ids.begin(), ids.end(), 0);
   HammingTopK top(k);
-  ScanTopK(ActiveScanKernel(), db_bits, queries, 1, 0, nullptr, &top);
+  ScanTopK(ActiveScanKernel(), db_bits, 0, db_bits.num_rows(), queries, 1,
+           ids.data(), nullptr, &top);
   return top.Take(db_bits.num_bits());
 }
 

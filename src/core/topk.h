@@ -31,41 +31,38 @@ using Ranking = std::vector<RankedResult>;
 Ranking RankByScores(const std::vector<double>& scores);
 
 /// Bounded top-k selection on integer Hamming distances: keeps the k
-/// smallest (distance, row) pairs among the rows offered, in any order, and
+/// smallest (distance, id) pairs among the rows offered, in any order, and
 /// rejects a row that cannot enter with one integer compare. Because
-/// HammingScore is strictly increasing in the distance, the (distance, row)
+/// HammingScore is strictly increasing in the distance, the (distance, id)
 /// order is exactly the ascending score-then-id order of RankByScores, so
 /// the survivors — scored only at Take() — equal
-/// TopK(RankByScores(scores), k) entry for entry, ties included. This is
-/// the stage-3 selector behind every candidate source of the serving
-/// engine: full scans, IVF postings, and prefilter candidate lists.
+/// TopK(RankByScores(scores), k) entry for entry, ties included, whatever
+/// order the rows are stored or offered in. This is the stage-3 selector
+/// behind every candidate source of the serving engine: full scans, IVF
+/// buckets, and prefilter candidate lists.
 class HammingTopK {
  public:
   /// k <= 0 keeps nothing.
   explicit HammingTopK(int k);
 
-  /// Offers physical row `row` (>= 0, distinct across offers) at Hamming
-  /// distance `distance`. `tombstones`, indexed by physical row, may be
-  /// null; it is read only for rows that pass the bound, so a removed row
-  /// costs nothing unless it would have ranked.
-  void Offer(uint32_t distance, int row, const uint8_t* tombstones) {
-    const uint64_t key =
-        (uint64_t{distance} << 32) | static_cast<uint32_t>(row);
-    if (key < bound_ &&
-        (tombstones == nullptr || tombstones[static_cast<size_t>(row)] == 0)) {
-      Admit(key);
-    }
+  /// Offers external id `id` (>= 0, distinct across offers) at Hamming
+  /// distance `distance`. `removed` points at the row's tombstone flag and
+  /// may be null; it is read only when the row passes the bound, so a
+  /// removed row costs nothing unless it would have ranked.
+  void Offer(uint32_t distance, int id, const uint8_t* removed) {
+    const uint64_t key = (uint64_t{distance} << 32) | static_cast<uint32_t>(id);
+    if (key < bound_ && (removed == nullptr || *removed == 0)) Admit(key);
   }
 
-  /// Offer() for `count` consecutive rows row0, row0 + 1, ... at
-  /// distances[i]. A block whose nearest row cannot enter is skipped after
-  /// one min pass — the common case once the selector is full.
-  void OfferBlock(const uint32_t* distances, int count, int row0,
+  /// Offer() for `count` rows at distances[i] under ids[i], tombstone flag
+  /// tombstones[i] (tombstones nullable). A block whose nearest row cannot
+  /// enter is skipped after one min pass — the common case once the
+  /// selector is full.
+  void OfferBlock(const uint32_t* distances, int count, const int* ids,
                   const uint8_t* tombstones);
 
-  /// The survivors in ascending (score, row) order, score =
-  /// HammingScore(distance, num_bits), ids still physical rows. Leaves the
-  /// selector empty.
+  /// The survivors in ascending (score, id) order, score =
+  /// HammingScore(distance, num_bits). Leaves the selector empty.
   Ranking Take(int num_bits);
 
  private:
@@ -73,19 +70,21 @@ class HammingTopK {
 
   size_t k_;
   /// Keys strictly below the bound may enter: the largest kept key once k
-  /// are kept, UINT64_MAX before (no real key reaches it: rows fit 31 bits).
+  /// are kept, UINT64_MAX before (no real key reaches it: ids fit 31 bits).
   uint64_t bound_;
-  std::vector<uint64_t> heap_;  ///< max-heap of kept (distance << 32 | row)
+  std::vector<uint64_t> heap_;  ///< max-heap of kept (distance << 32 | id)
 };
 
-/// Offers every row of `rows` to one selector per query: tops[q] receives
-/// row i as physical row row_offset + i at its distance to queries[q]
-/// (rows.words_per_row() words each). The rows stream through `kernel` in
-/// cache-resident blocks, each block XORed against all num_queries queries
-/// before the next loads. `tombstones` is indexed by physical row (nullable).
-void ScanTopK(const ScanKernel& kernel, const PackedBitMatrix& rows,
-              const uint64_t* const* queries, int num_queries, int row_offset,
-              const uint8_t* tombstones, HammingTopK* tops);
+/// Offers rows [begin, end) of `rows` to one selector per query: tops[q]
+/// receives row r under external id ids[r] at its distance to queries[q]
+/// (rows.words_per_row() words each). `ids` and the nullable `tombstones`
+/// are indexed by row of `rows` — the matrix's slice of its owner's id and
+/// tombstone columns. The rows stream through `kernel` in cache-resident
+/// blocks, each block XORed against all num_queries queries before the
+/// next loads.
+void ScanTopK(const ScanKernel& kernel, const PackedBitMatrix& rows, int begin,
+              int end, const uint64_t* const* queries, int num_queries,
+              const int* ids, const uint8_t* tombstones, HammingTopK* tops);
 
 /// Exact ranking of db against query by MCS-based dissimilarity. This is the
 /// costly reference path (the "Exact" algorithm of Exp-4/Exp-6).

@@ -1,9 +1,9 @@
 #include "serve/query_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <utility>
 
@@ -72,51 +72,30 @@ Result<QueryEngine> QueryEngine::FromPacked(PackedIndex index,
   if (index.next_id >= 0 && index.next_id < min_next_id) {
     return Status::InvalidArgument("index next_id must exceed every id");
   }
-  QueryEngine engine;
-  engine.options_ = options;
-  engine.base_ =
-      std::make_shared<const PackedBitMatrix>(std::move(index.rows));
-  engine.delta_ = PackedBitMatrix::WithWidth(p);
-  engine.tombstones_.assign(static_cast<size_t>(n), 0);
-  engine.alive_ = n;
-  if (index.ids.empty()) {
-    engine.row_ids_.resize(static_cast<size_t>(n));
-    std::iota(engine.row_ids_.begin(), engine.row_ids_.end(), 0);
-  } else {
-    engine.row_ids_ = std::move(index.ids);
-  }
-  // Resume the persisted id counter when present (so ids of removed graphs
-  // are never re-issued after a reload); otherwise derive it.
-  engine.next_id_ =
-      index.next_id >= 0 ? index.next_id : static_cast<int>(min_next_id);
-  // The inverted lists only serve the prefilter; skip the O(n·p) pass and
-  // their memory when it is disabled.
-  if (options.containment_prefilter) {
-    engine.supports_.assign(static_cast<size_t>(p), {});
-    for (int row = 0; row < n; ++row) {
-      const std::vector<uint8_t> bits = engine.base_->UnpackRow(row);
-      for (int r = 0; r < p; ++r) {
-        if (bits[static_cast<size_t>(r)] != 0) {
-          engine.supports_[static_cast<size_t>(r)].push_back(row);
-        }
-      }
-    }
-  }
+  // Until the layout below, physical row i is input row i, ascending by id.
+  const auto input_row = [&index, n](int id) {
+    if (index.ids.empty()) return id >= 0 && id < n ? id : -1;
+    const auto it = std::lower_bound(index.ids.begin(), index.ids.end(), id);
+    return it != index.ids.end() && *it == id
+               ? static_cast<int>(it - index.ids.begin())
+               : -1;
+  };
+  IvfIndex ivf;
   if (index.ivf.has_value()) {
     // Adopt the persisted IVF layout instead of re-clustering: reload skips
     // the O(n·sqrt(n)) Build. Snapshot postings are in external-id space
     // and may span a different shard partition than this engine's, so keep
-    // exactly the buckets holding ids this engine owns, mapped to local
-    // physical rows. Relative bucket order is preserved, so at an unchanged
-    // shard count the probe's (distance, bucket id) ranking reproduces the
+    // exactly the buckets holding ids this engine owns, mapped to input
+    // rows. Relative bucket order is preserved, so at an unchanged shard
+    // count the probe's (distance, bucket id) ranking reproduces the
     // snapshotted engine's exactly.
     const PersistedIvf& persisted = *index.ivf;
     if (persisted.num_bits != p) {
       return Status::InvalidArgument("IVF width does not match the index");
     }
-    const size_t wpc = engine.base_->words_per_row();
+    const size_t wpc = index.rows.words_per_row();
     std::vector<uint64_t> centroid_words;
-    std::vector<std::vector<int>> postings;
+    std::vector<std::vector<int>> members;
     std::vector<uint8_t> seen(static_cast<size_t>(n), 0);
     int covered = 0;
     for (const PersistedIvfBucket& bucket : persisted.buckets) {
@@ -126,26 +105,22 @@ Result<QueryEngine> QueryEngine::FromPacked(PackedIndex index,
       }
       std::vector<int> rows;
       for (const int id : bucket.ids) {
-        const auto it = std::lower_bound(engine.row_ids_.begin(),
-                                         engine.row_ids_.end(), id);
-        if (it == engine.row_ids_.end() || *it != id) {
-          continue;  // another shard's row under this partition
-        }
-        const int row = static_cast<int>(it - engine.row_ids_.begin());
+        const int row = input_row(id);
+        if (row < 0) continue;  // another shard's row under this partition
         if (seen[static_cast<size_t>(row)] != 0) {
           return Status::InvalidArgument("duplicate IVF posting id");
         }
         seen[static_cast<size_t>(row)] = 1;
         ++covered;
         // Bucket ids ascend and the id→row map is monotone, so each
-        // adopted posting list stays sorted, as Probe requires.
+        // adopted list stays sorted.
         rows.push_back(row);
       }
       if (rows.empty()) continue;  // no rows of this engine's partition
       centroid_words.insert(centroid_words.end(),
                             bucket.centroid_words.begin(),
                             bucket.centroid_words.end());
-      postings.push_back(std::move(rows));
+      members.push_back(std::move(rows));
     }
     // Strict coverage: every owned row reachable by some probe, or
     // NPROBE=all would silently diverge from MODE=full after a restart.
@@ -154,17 +129,49 @@ Result<QueryEngine> QueryEngine::FromPacked(PackedIndex index,
           "IVF postings do not cover this engine's rows");
     }
     // Count first: the by-value parameter's move-construction below is
-    // unsequenced with the other argument's postings.size() read.
-    const int num_buckets = static_cast<int>(postings.size());
-    engine.ivf_ = IvfIndex::FromParts(
+    // unsequenced with the other argument's members.size() read.
+    const int num_buckets = static_cast<int>(members.size());
+    ivf = IvfIndex::FromParts(
         PackedBitMatrix::FromWords(num_buckets, p, std::move(centroid_words)),
-        std::move(postings));
+        std::move(members));
+    index.ivf.reset();
   } else {
     // No persisted layout: the IVF index is rebuilt with the engine — which
     // is exactly what gives a generation swap fresh clusters over the
     // refreshed fingerprints (zero stale buckets by construction).
-    engine.ivf_ = IvfIndex::Build(*engine.base_, options.ivf_buckets);
+    ivf = IvfIndex::Build(index.rows, options.ivf_buckets);
   }
+
+  QueryEngine engine;
+  engine.options_ = options;
+  engine.delta_ = PackedBitMatrix::WithWidth(p);
+  engine.tombstones_.assign(static_cast<size_t>(n), 0);
+  engine.alive_ = n;
+  // Resume the persisted id counter when present (so ids of removed graphs
+  // are never re-issued after a reload); otherwise derive it.
+  engine.next_id_ =
+      index.next_id >= 0 ? index.next_id : static_cast<int>(min_next_id);
+  // Store the base in bucket order: slot s holds input row order[s], and
+  // every bucket becomes one contiguous range. The rows are permuted in
+  // place, so the base is never held twice.
+  const std::vector<int> order = ivf.LayOut(engine.tombstones_);
+  GDIM_CHECK(order.size() == static_cast<size_t>(n));
+  index.rows.PermuteRows(order);
+  engine.row_ids_.resize(static_cast<size_t>(n));
+  engine.by_id_.resize(static_cast<size_t>(n));
+  for (int slot = 0; slot < n; ++slot) {
+    const int row = order[static_cast<size_t>(slot)];
+    engine.row_ids_[static_cast<size_t>(slot)] =
+        index.ids.empty() ? row : index.ids[static_cast<size_t>(row)];
+    // Input rows ascend by id, so the by-id order inverts the layout.
+    engine.by_id_[static_cast<size_t>(row)] = slot;
+  }
+  engine.base_ =
+      std::make_shared<const PackedBitMatrix>(std::move(index.rows));
+  engine.ivf_ = std::move(ivf);
+  // The inverted lists only serve the prefilter; skip the pass and their
+  // memory when it is disabled.
+  if (options.containment_prefilter) engine.BuildSupports();
   if (index.meta.has_value()) {
     // Resume the persisted mutation epoch so epoch-keyed consumers (the
     // result cache) never mistake a pre-restart answer for a fresh one.
@@ -214,8 +221,8 @@ Result<int> QueryEngine::InsertMappedWithId(
   if (id == std::numeric_limits<int>::max()) {
     return Status::ResourceExhausted("graph id space exhausted");
   }
-  // Per-engine ids must stay strictly ascending (row order == id order is
-  // what makes the score-then-id tie-break equal the physical-row order).
+  // Per-engine ids must stay strictly ascending: by_id_ appends the new
+  // row, and a snapshot's id column must stay sorted.
   if (id < next_id_) {
     return Status::InvalidArgument(
         "id " + std::to_string(id) + " not after the engine's id cursor " +
@@ -224,6 +231,7 @@ Result<int> QueryEngine::InsertMappedWithId(
   const int row = base_->num_rows() + delta_.AppendRow(fingerprint);
   tombstones_.push_back(0);
   row_ids_.push_back(id);
+  by_id_.push_back(row);
   ++alive_;
   ivf_.AddRow(delta_.row(row - base_->num_rows()), delta_.words_per_row(),
               row);
@@ -262,20 +270,34 @@ Status QueryEngine::Remove(int id) {
 
 void QueryEngine::Compact() {
   if (num_tombstones_ == 0 && delta_.num_rows() == 0) return;
-  const int total = total_rows();
+  // Lay the live rows out again by bucket, folding each bucket's appended
+  // delta rows into its range; the copy below is the one Compact always
+  // made, now in bucket order. Centroids are kept — only a generation swap
+  // re-clusters.
+  const std::vector<int> order = ivf_.LayOut(tombstones_);
+  GDIM_CHECK(order.size() == static_cast<size_t>(alive_));
   PackedBitMatrix merged = PackedBitMatrix::WithWidth(num_features());
   merged.Reserve(alive_);
-  std::vector<int> new_ids;
-  new_ids.reserve(static_cast<size_t>(alive_));
-  std::vector<int> old_to_new(static_cast<size_t>(total), -1);
+  std::vector<int> new_ids(order.size());
+  std::vector<int> old_to_new(static_cast<size_t>(total_rows()), -1);
   const int base_n = base_->num_rows();
-  for (int row = 0; row < total; ++row) {
-    if (tombstones_[static_cast<size_t>(row)] != 0) continue;
-    old_to_new[static_cast<size_t>(row)] =
-        row < base_n ? merged.AppendRowFrom(*base_, row)
-                     : merged.AppendRowFrom(delta_, row - base_n);
-    new_ids.push_back(row_ids_[static_cast<size_t>(row)]);
+  for (size_t slot = 0; slot < order.size(); ++slot) {
+    const int row = order[slot];
+    if (row < base_n) {
+      merged.AppendRowFrom(*base_, row);
+    } else {
+      merged.AppendRowFrom(delta_, row - base_n);
+    }
+    new_ids[slot] = row_ids_[static_cast<size_t>(row)];
+    old_to_new[static_cast<size_t>(row)] = static_cast<int>(slot);
   }
+  // The by-id order keeps its order; only the tombstoned rows drop out.
+  size_t kept = 0;
+  for (const int row : by_id_) {
+    const int slot = old_to_new[static_cast<size_t>(row)];
+    if (slot >= 0) by_id_[kept++] = slot;
+  }
+  by_id_.resize(kept);
   // Install a fresh sealed segment rather than mutating in place: frozen
   // snapshots may still hold a refcount on the old one.
   base_ = std::make_shared<const PackedBitMatrix>(std::move(merged));
@@ -284,17 +306,20 @@ void QueryEngine::Compact() {
   tombstones_.assign(static_cast<size_t>(alive_), 0);
   num_tombstones_ = 0;
   ++epoch_;
-  // Prune the IVF postings: tombstoned rows drop out (old_to_new == -1),
-  // the survivors renumber monotonically. Centroids are kept — only a
-  // generation swap re-clusters.
-  ivf_.Renumber(old_to_new);
-  if (options_.containment_prefilter) {
-    // The lists already hold exactly the live rows; renumber in place (the
-    // old→new map is monotone, so each list stays sorted).
-    for (std::vector<int>& list : supports_) {
-      for (int& row : list) {
-        row = old_to_new[static_cast<size_t>(row)];
-        GDIM_DCHECK(row >= 0);
+  if (options_.containment_prefilter) BuildSupports();
+}
+
+void QueryEngine::BuildSupports() {
+  supports_.assign(static_cast<size_t>(base_->num_bits()), {});
+  const size_t words = words_per_row();
+  for (int row = 0; row < total_rows(); ++row) {
+    if (tombstones_[static_cast<size_t>(row)] != 0) continue;
+    const uint64_t* row_words = RowWords(row);
+    for (size_t w = 0; w < words; ++w) {
+      // Padding bits are always zero, so every set bit is a feature.
+      for (uint64_t bits = row_words[w]; bits != 0; bits &= bits - 1) {
+        supports_[w * 64 + static_cast<size_t>(std::countr_zero(bits))]
+            .push_back(row);
       }
     }
   }
@@ -303,7 +328,7 @@ void QueryEngine::Compact() {
 std::vector<int> QueryEngine::alive_ids() const {
   std::vector<int> ids;
   ids.reserve(static_cast<size_t>(alive_));
-  for (int row = 0; row < total_rows(); ++row) {
+  for (const int row : by_id_) {
     if (tombstones_[static_cast<size_t>(row)] == 0) {
       ids.push_back(row_ids_[static_cast<size_t>(row)]);
     }
@@ -315,7 +340,7 @@ PersistedIndex QueryEngine::ToPersistedIndex() const {
   PersistedIndex index;
   index.features = mapper_.features();
   index.db_bits.reserve(static_cast<size_t>(alive_));
-  for (int row = 0; row < total_rows(); ++row) {
+  for (const int row : by_id_) {
     if (tombstones_[static_cast<size_t>(row)] == 0) {
       index.db_bits.push_back(RowBits(row));
     }
@@ -329,12 +354,9 @@ std::vector<std::pair<int, const uint64_t*>> QueryEngine::LiveRowWords()
     const {
   std::vector<std::pair<int, const uint64_t*>> live;
   live.reserve(static_cast<size_t>(alive_));
-  const int base_n = base_->num_rows();
-  for (int row = 0; row < total_rows(); ++row) {
+  for (const int row : by_id_) {
     if (tombstones_[static_cast<size_t>(row)] != 0) continue;
-    live.emplace_back(row_ids_[static_cast<size_t>(row)],
-                      row < base_n ? base_->row(row)
-                                   : delta_.row(row - base_n));
+    live.emplace_back(row_ids_[static_cast<size_t>(row)], RowWords(row));
   }
   return live;
 }
@@ -342,10 +364,9 @@ std::vector<std::pair<int, const uint64_t*>> QueryEngine::LiveRowWords()
 std::vector<std::pair<int, const uint64_t*>> FrozenEngineState::LiveRowWords()
     const {
   std::vector<std::pair<int, const uint64_t*>> live;
+  live.reserve(by_id.size());
   const int base_n = base->num_rows();
-  const int total = base_n + delta.num_rows();
-  live.reserve(static_cast<size_t>(total));
-  for (int row = 0; row < total; ++row) {
+  for (const int row : by_id) {
     if (tombstones[static_cast<size_t>(row)] != 0) continue;
     live.emplace_back(row_ids[static_cast<size_t>(row)],
                       row < base_n ? base->row(row)
@@ -360,6 +381,7 @@ FrozenEngineState QueryEngine::Freeze() const {
   frozen.delta = delta_;
   frozen.tombstones = tombstones_;
   frozen.row_ids = row_ids_;
+  frozen.by_id = by_id_;
   frozen.ivf = ivf_;
   return frozen;
 }
@@ -371,15 +393,19 @@ PersistedIvf PersistIvf(const IvfIndex& ivf,
   persisted.num_bits = ivf.centroids().num_bits();
   const size_t wpc = ivf.centroids().words_per_row();
   for (int b = 0; b < ivf.num_buckets(); ++b) {
+    // Persist live rows only, lifted to external ids: the snapshot has no
+    // notion of this engine's physical row space, and tombstoned rows
+    // would violate the reader's live-coverage invariant. A range holds
+    // ascending ids and every appended id is newer, so the list ascends.
     PersistedIvfBucket bucket;
-    for (const int row : ivf.posting(b)) {
-      // Persist live rows only, lifted to external ids: the snapshot has no
-      // notion of this engine's physical row space, and tombstoned postings
-      // would violate the reader's live-coverage invariant.
+    const auto persist = [&](int row) {
       if (tombstones[static_cast<size_t>(row)] == 0) {
         bucket.ids.push_back(row_ids[static_cast<size_t>(row)]);
       }
-    }
+    };
+    const IvfBucket& rows = ivf.posting(b);
+    for (int row = rows.begin; row < rows.end; ++row) persist(row);
+    for (const int row : rows.appended) persist(row);
     // The reader rejects empty buckets, and a bucket emptied by tombstones
     // carries no information worth restoring.
     if (bucket.ids.empty()) continue;
@@ -424,10 +450,14 @@ Status QueryEngine::Snapshot(const std::string& path,
 }
 
 int QueryEngine::FindLiveRow(int id) const {
-  const auto it = std::lower_bound(row_ids_.begin(), row_ids_.end(), id);
-  if (it == row_ids_.end() || *it != id) return -1;
-  const int row = static_cast<int>(it - row_ids_.begin());
-  return tombstones_[static_cast<size_t>(row)] == 0 ? row : -1;
+  const auto it = std::lower_bound(
+      by_id_.begin(), by_id_.end(), id, [this](int row, int wanted) {
+        return row_ids_[static_cast<size_t>(row)] < wanted;
+      });
+  if (it == by_id_.end() || row_ids_[static_cast<size_t>(*it)] != id) {
+    return -1;
+  }
+  return tombstones_[static_cast<size_t>(*it)] == 0 ? *it : -1;
 }
 
 std::vector<uint8_t> QueryEngine::RowBits(int row) const {
@@ -449,7 +479,7 @@ Ranking QueryEngine::QueryMappedCandidates(
   const std::vector<uint64_t> packed_query = base_->PackQuery(fingerprint);
   HammingTopK top(options.k);
   OfferRows(packed_query.data(), candidate_rows, &top);
-  Ranking ranking = TakeRanking(&top);
+  Ranking ranking = top.Take(num_features());
   if (stats != nullptr) {
     stats->latency_ms = timer.Millis();
     int features_on = 0;
@@ -476,28 +506,21 @@ void QueryEngine::OfferRows(const uint64_t* query,
                             const std::vector<int>& rows,
                             HammingTopK* top) const {
   const size_t words = words_per_row();
-  const int base_n = base_->num_rows();
   for (const int row : rows) {
-    const uint64_t* row_words =
-        row < base_n ? base_->row(row) : delta_.row(row - base_n);
-    top->Offer(HammingWords(query, row_words, words), row, tombstones_.data());
+    top->Offer(HammingWords(query, RowWords(row), words),
+               row_ids_[static_cast<size_t>(row)],
+               &tombstones_[static_cast<size_t>(row)]);
   }
 }
 
 void QueryEngine::OfferAllRows(const uint64_t* const* queries, int count,
                                HammingTopK* tops) const {
-  // Base and delta are one physical row space: delta row i is row
-  // base_rows() + i, so the (distance, row) tie-break spans both segments.
   const ScanKernel& kernel = ActiveScanKernel();
-  ScanTopK(kernel, *base_, queries, count, 0, tombstones_.data(), tops);
-  ScanTopK(kernel, delta_, queries, count, base_->num_rows(),
+  const int base_n = base_->num_rows();
+  ScanTopK(kernel, *base_, 0, base_n, queries, count, row_ids_.data(),
            tombstones_.data(), tops);
-}
-
-Ranking QueryEngine::TakeRanking(HammingTopK* top) const {
-  Ranking ranking = top->Take(num_features());
-  for (RankedResult& r : ranking) r.id = row_ids_[static_cast<size_t>(r.id)];
-  return ranking;
+  ScanTopK(kernel, delta_, 0, delta_.num_rows(), queries, count,
+           row_ids_.data() + base_n, tombstones_.data() + base_n, tops);
 }
 
 Ranking QueryEngine::Query(const Graph& query, const QueryOptions& options,
@@ -541,12 +564,12 @@ Ranking QueryEngine::QueryMapped(const std::vector<uint8_t>& fingerprint,
 
   // Stage 3: popcount distance scan of one candidate source — the narrowed
   // candidates, the probed IVF buckets, or every physical row — into the
-  // fused integer top-k selector. Rankings are selected over physical rows
-  // and mapped to external ids; row order is ascending-id, so the
-  // score-then-id tie-break is preserved.
+  // fused integer top-k selector, which keys on (distance, external id):
+  // the score-then-id order, wherever a row is stored.
   //
-  // Approximate stage 2 (MODE=approx) selects over the posting lists of the
-  // nprobe nearest centroid buckets in place. The answer differs from kFull
+  // Approximate stage 2 (MODE=approx) scans the nprobe nearest centroid
+  // buckets: each bucket's contiguous base range in kernel block passes,
+  // then its few appended rows one by one. The answer differs from kFull
   // only by rows the probe pruned — at NPROBE=all every physical row is
   // offered and the ranking is bit-identical to a full scan.
   const bool approx = options.scan_mode == ScanMode::kApprox;
@@ -563,15 +586,23 @@ Ranking QueryEngine::QueryMapped(const std::vector<uint8_t>& fingerprint,
     const std::vector<int> buckets =
         ivf_.NearestBuckets(packed_query.data(), nprobe);
     ivf_probe_usec = probe_timer.Micros();
+    const ScanKernel& kernel = ActiveScanKernel();
+    const uint64_t* queries[] = {packed_query.data()};
     scanned = 0;
+    // Buckets arrive in slot order, so the ranges are read front to back.
     for (const int b : buckets) {
-      const std::vector<int>& posting = ivf_.posting(b);
-      OfferRows(packed_query.data(), posting, &top);
-      scanned += static_cast<int>(posting.size());
-      // Postings keep removed rows until Compact; the scan count reports
+      const IvfBucket& bucket = ivf_.posting(b);
+      ScanTopK(kernel, *base_, bucket.begin, bucket.end, queries, 1,
+               row_ids_.data(), tombstones_.data(), &top);
+      OfferRows(packed_query.data(), bucket.appended, &top);
+      scanned += static_cast<int>(bucket.size());
+      // Buckets keep removed rows until Compact; the scan count reports
       // live rows only, so count the dead ones aside.
       if (num_tombstones_ > 0) {
-        for (const int row : posting) {
+        for (int row = bucket.begin; row < bucket.end; ++row) {
+          scanned -= tombstones_[static_cast<size_t>(row)];
+        }
+        for (const int row : bucket.appended) {
           scanned -= tombstones_[static_cast<size_t>(row)];
         }
       }
@@ -581,7 +612,7 @@ Ranking QueryEngine::QueryMapped(const std::vector<uint8_t>& fingerprint,
     OfferAllRows(queries, 1, &top);
     scanned = total_rows();
   }
-  Ranking ranking = TakeRanking(&top);
+  Ranking ranking = top.Take(num_features());
 
   if (stats != nullptr) {
     stats->latency_ms = timer.Millis();
@@ -660,7 +691,7 @@ std::vector<Ranking> QueryEngine::QueryMappedTile(
   OfferAllRows(query_ptrs.data(), count, tops.data());
   for (int q = 0; q < count; ++q) {
     results[static_cast<size_t>(q)] =
-        TakeRanking(&tops[static_cast<size_t>(q)]);
+        tops[static_cast<size_t>(q)].Take(num_features());
   }
 
   if (stats != nullptr) {

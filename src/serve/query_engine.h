@@ -99,7 +99,7 @@ void FillServeBatchReport(double wall_ms,
 /// asynchronous snapshotting. The sealed base segment — the part that scales
 /// with database size — is shared by refcount (it is only ever *replaced*,
 /// by Compact, never mutated in place), so a freeze copies just the delta
-/// segment, the tombstone bitset, and the id column: O(delta + n) small
+/// segment, the tombstone bitset, and the id columns: O(delta + n) small
 /// fields, no O(n·p) word copying and no file I/O. A background writer can
 /// then stream the capture to disk while the live engine keeps mutating.
 struct FrozenEngineState {
@@ -107,9 +107,10 @@ struct FrozenEngineState {
   PackedBitMatrix delta;                        ///< copied (small)
   std::vector<uint8_t> tombstones;              ///< copied; base + delta rows
   std::vector<int> row_ids;                     ///< copied; base + delta rows
-  /// Copied IVF layout (centroids + postings, O(n) ints) so a background
-  /// v3 snapshot can persist the IVFX section without touching the live
-  /// index.
+  std::vector<int> by_id;  ///< copied; every row, ascending by id
+  /// Copied IVF layout (centroids, bucket ranges, append lists) so a
+  /// background v3 snapshot can persist the IVFX section without touching
+  /// the live index.
   IvfIndex ivf;
 
   /// Live rows in ascending-id order as (id, packed word pointer) pairs;
@@ -119,11 +120,12 @@ struct FrozenEngineState {
   std::vector<std::pair<int, const uint64_t*>> LiveRowWords() const;
 };
 
-/// The live (non-tombstoned) postings of `ivf` lifted into external-id
-/// space — the v3 IVFX payload of one engine. Buckets left empty by
-/// tombstones are dropped (the reader rejects empty buckets), so the result
-/// partitions exactly the live ids. tombstones/row_ids are indexed by
-/// physical row, like the engine's own members.
+/// The live (non-tombstoned) rows of every bucket of `ivf` lifted into
+/// external-id space, ascending — the v3 IVFX payload of one engine.
+/// Buckets left empty by tombstones are dropped (the reader rejects empty
+/// buckets), so the result partitions exactly the live ids.
+/// tombstones/row_ids are indexed by physical row, like the engine's own
+/// members.
 PersistedIvf PersistIvf(const IvfIndex& ivf,
                         const std::vector<uint8_t>& tombstones,
                         const std::vector<int>& row_ids);
@@ -142,14 +144,17 @@ PersistedIvf PersistIvf(const IvfIndex& ivf,
 ///
 /// The engine is *mutable*: the database is a sealed base segment plus an
 /// append-only delta segment of packed rows, with a tombstone bitset over
-/// both. Insert appends to the delta, Remove tombstones, and Compact rewrites
-/// the live rows into a fresh sealed base. Every graph keeps a stable
-/// external id for its whole lifetime — ids survive removals of other graphs
-/// and any number of compactions — and after any mutation sequence
-/// Query/QueryBatch results are bit-identical to a fresh engine built over
-/// the equivalent database (same live fingerprints in id order), because
-/// physical row order is always ascending-id and the same deterministic
-/// score-then-id ranking applies.
+/// both. The base stores its rows in IVF bucket order — each bucket one
+/// contiguous slot range — so MODE=approx scans a probed bucket with the
+/// same block passes as a full scan. Insert appends to the delta (and to
+/// its bucket's append list), Remove tombstones, and Compact rewrites the
+/// live rows into a fresh sealed base, laid out by bucket again. Every
+/// graph keeps a stable external id for its whole lifetime — ids survive
+/// removals of other graphs and any number of compactions — and after any
+/// mutation sequence full-scan Query/QueryBatch results are bit-identical
+/// to a fresh engine built over the equivalent database (same live
+/// fingerprints in id order), because selection keys on (distance, id),
+/// never on where a row is stored.
 ///
 /// Mutations are not thread-safe: callers must not run Insert/Remove/Compact
 /// concurrently with each other or with queries. The contract is
@@ -175,6 +180,8 @@ class QueryEngine {
   /// of re-clustered — postings arrive in external-id space, so the engine
   /// keeps exactly the buckets holding ids it owns (any shard partition of
   /// a snapshot works) after validating they cover its rows exactly once.
+  /// Either way the adopted matrix is then permuted in place into bucket
+  /// order — the base segment's layout.
   static Result<QueryEngine> FromPacked(PackedIndex index,
                                         ServeOptions options = {});
 
@@ -260,18 +267,20 @@ class QueryEngine {
   /// graph has that id. O(log n) + inverted-list maintenance.
   Status Remove(int id) GDIM_REQUIRES(writer_role_);
 
-  /// Rewrites the live rows into a fresh sealed base segment, drops
-  /// tombstones, and empties the delta. External ids are unchanged. No-op
-  /// on an engine with no delta rows and no tombstones.
+  /// Rewrites the live rows into a fresh sealed base segment laid out by
+  /// IVF bucket (each bucket's base rows and appended delta rows become one
+  /// contiguous range), drops tombstones, and empties the delta. External
+  /// ids and centroids are unchanged. No-op on an engine with no delta rows
+  /// and no tombstones.
   void Compact() GDIM_REQUIRES(writer_role_);
 
-  /// External ids of the live graphs, ascending (= physical row order).
+  /// External ids of the live graphs, ascending.
   std::vector<int> alive_ids() const;
 
-  /// Live rows in physical (= ascending external id) order as (id, packed
-  /// word pointer) pairs; each pointer addresses words_per_row() words and
-  /// stays valid until the next mutation. The streaming hook that lets a
-  /// multi-shard owner snapshot all shards without byte materialization.
+  /// Live rows in ascending external id order as (id, packed word pointer)
+  /// pairs; each pointer addresses words_per_row() words and stays valid
+  /// until the next mutation. The streaming hook that lets a multi-shard
+  /// owner snapshot all shards without byte materialization.
   std::vector<std::pair<int, const uint64_t*>> LiveRowWords() const;
 
   /// Words per packed row (= ceil(num_features() / 64)).
@@ -370,17 +379,26 @@ class QueryEngine {
   /// Physical row of a live external id, or -1.
   int FindLiveRow(int id) const;
 
+  /// Packed words of physical row `row` (base or delta).
+  const uint64_t* RowWords(int row) const {
+    const int base_n = base_->num_rows();
+    return row < base_n ? base_->row(row) : delta_.row(row - base_n);
+  }
+
   /// Row `row` of the segmented matrix back as a 0/1 byte vector.
   std::vector<uint8_t> RowBits(int row) const;
+
+  /// Rebuilds supports_ from the live rows, in physical row space.
+  void BuildSupports();
 
   /// Stage 2: ∩ sup(f_r) over the fingerprint's set bits (ascending
   /// physical rows, live rows only — the lists are maintained on mutation).
   std::vector<int> PrefilterCandidates(
       const std::vector<uint8_t>& fingerprint) const;
 
-  /// Stage 3 over an explicit row list (prefilter candidates, IVF
-  /// postings): offers each physical row at its Hamming distance to the
-  /// packed query; removed rows never enter.
+  /// Stage 3 over an explicit row list (prefilter candidates, IVF append
+  /// lists): offers each physical row at its Hamming distance to the packed
+  /// query; removed rows never enter.
   void OfferRows(const uint64_t* query, const std::vector<int>& rows,
                  HammingTopK* top) const;
 
@@ -388,10 +406,6 @@ class QueryEngine {
   /// queries at once: tops[q] selects for queries[q].
   void OfferAllRows(const uint64_t* const* queries, int count,
                     HammingTopK* tops) const;
-
-  /// Empties a selector into the answer: survivors scored, physical rows
-  /// mapped to external ids.
-  Ranking TakeRanking(HammingTopK* top) const;
 
   ServeOptions options_;
   FeatureMapper mapper_{GraphDatabase{}};
@@ -406,21 +420,26 @@ class QueryEngine {
   std::vector<uint8_t> tombstones_;
   int num_tombstones_ = 0;
   int alive_ = 0;
-  /// row_ids_[row] = stable external id; strictly increasing in row, so
-  /// ranking by physical row and ranking by external id agree on ties.
+  /// row_ids_[row] = stable external id of physical row `row`. Base rows
+  /// are in bucket order, so ids ascend only within a bucket's range.
   std::vector<int> row_ids_;
+  /// Every physical row (tombstoned ones until Compact), ascending by
+  /// external id: the id lookup of FindLiveRow and the id-ordered walk of
+  /// alive_ids, LiveRowWords, and the snapshot writers. Inserted ids only
+  /// grow, so Insert appends.
+  std::vector<int> by_id_;
   int next_id_ = 0;
   /// Monotonic mutation counter; see epoch().
   uint64_t epoch_ = 0;
   /// supports_[r] = ascending physical rows of live graphs containing
   /// feature r; only populated when options_.containment_prefilter.
   std::vector<std::vector<int>> supports_;
-  /// IVF candidate-pruning index over the packed rows (ScanMode::kApprox).
-  /// Built with the engine (so a generation swap re-clusters over the new
-  /// generation's fingerprints), maintained by Insert (nearest-centroid
-  /// assignment) and Compact (posting renumbering); removals are lazy —
-  /// Probe skips tombstones. Mutated only under writer_role_, like every
-  /// other member.
+  /// IVF candidate-pruning index over the packed rows (ScanMode::kApprox),
+  /// whose bucket ranges tile the base segment. Built with the engine (so
+  /// a generation swap re-clusters over the new generation's
+  /// fingerprints), maintained by Insert (nearest-centroid append lists)
+  /// and Compact (a fresh layout); removals are lazy — scans skip
+  /// tombstones. Mutated only under writer_role_, like every other member.
   IvfIndex ivf_;
   /// See writer_role(). mutable: acquiring a role is not a state change.
   mutable ThreadRole writer_role_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -126,12 +127,55 @@ Result<ShardedEngine> ShardedEngine::FromPacked(PackedIndex index,
     shard_rows.push_back(PackedBitMatrix::WithWidth(p));
   }
   std::vector<std::vector<int>> shard_ids(static_cast<size_t>(num_shards));
+  const auto id_of = [&index](int row) {
+    return index.ids.empty() ? row : index.ids[static_cast<size_t>(row)];
+  };
+  // Sized exactly up front: the partition briefly holds the rows twice,
+  // and growth slack would add to that peak.
+  std::vector<int> shard_n(static_cast<size_t>(num_shards), 0);
   for (int row = 0; row < n; ++row) {
-    const int id =
-        index.ids.empty() ? row : index.ids[static_cast<size_t>(row)];
+    ++shard_n[static_cast<size_t>(id_of(row) % num_shards)];
+  }
+  for (int s = 0; s < num_shards; ++s) {
+    const int rows = shard_n[static_cast<size_t>(s)];
+    shard_rows[static_cast<size_t>(s)].Reserve(rows);
+    shard_ids[static_cast<size_t>(s)].reserve(static_cast<size_t>(rows));
+  }
+  for (int row = 0; row < n; ++row) {
+    const int id = id_of(row);
     const int s = id % num_shards;
     shard_rows[static_cast<size_t>(s)].AppendRowFrom(index.rows, row);
     shard_ids[static_cast<size_t>(s)].push_back(id);
+  }
+  // The shards own copies now; release the input before building them.
+  index.rows = PackedBitMatrix();
+  index.ids = {};
+  // A persisted v3 IVF layout is split by the same id % N rule: each shard
+  // adopts only the postings of its partition (the postings are
+  // external-id, so this works at any shard count). Bucket order is kept,
+  // and a bucket holding none of a shard's ids is left out, as the shard
+  // would skip it itself.
+  std::vector<std::optional<PersistedIvf>> shard_ivf(
+      static_cast<size_t>(num_shards));
+  if (index.ivf.has_value()) {
+    for (std::optional<PersistedIvf>& part : shard_ivf) {
+      part.emplace().num_bits = index.ivf->num_bits;
+    }
+    std::vector<std::vector<int>> split(static_cast<size_t>(num_shards));
+    for (const PersistedIvfBucket& bucket : index.ivf->buckets) {
+      for (const int id : bucket.ids) {
+        if (id < 0) continue;  // matches no row of any shard
+        split[static_cast<size_t>(id % num_shards)].push_back(id);
+      }
+      for (int s = 0; s < num_shards; ++s) {
+        std::vector<int>& ids = split[static_cast<size_t>(s)];
+        if (ids.empty()) continue;
+        shard_ivf[static_cast<size_t>(s)]->buckets.push_back(
+            PersistedIvfBucket{bucket.centroid_words, std::move(ids)});
+        ids = {};
+      }
+    }
+    index.ivf.reset();
   }
   engine.shards_.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
@@ -141,10 +185,7 @@ Result<ShardedEngine> ShardedEngine::FromPacked(PackedIndex index,
     // The global counter exceeds every id, so it is a valid per-shard
     // counter too; it keeps reload-then-insert from re-issuing any id.
     shard.next_id = next_id;
-    // A persisted v3 IVF layout is handed to every shard; each keeps
-    // exactly the buckets holding ids of its partition (the postings are
-    // external-id, so this works at any shard count).
-    shard.ivf = index.ivf;
+    shard.ivf = std::move(shard_ivf[static_cast<size_t>(s)]);
     Result<QueryEngine> built =
         QueryEngine::FromPacked(std::move(shard), mapper, options.serve);
     if (!built.ok()) return built.status();

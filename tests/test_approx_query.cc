@@ -215,7 +215,7 @@ TEST(ApproxQueryTest, MaintenanceChurnPreservesNprobeAllIdentity) {
       churned->Compact();
       // A fresh engine over the churned live state: its IVF index is a
       // from-scratch clustering, the churned one is Build + AddRow +
-      // Renumber — at NPROBE=all both degrade to the full live set, so
+      // LayOut — at NPROBE=all both degrade to the full live set, so
       // every query must agree bit for bit (and with the full scan).
       auto fresh = ShardedEngine::FromIndex(churned->ToPersistedIndex(),
                                             Sharded(shards, threads));
@@ -275,15 +275,53 @@ std::set<int> ApproxPoolIds(const ShardedEngine& engine,
   return ids;
 }
 
+/// The bucket layout of every shard: the ranges tile [0, base_rows) in
+/// bucket order, appended rows lie in the delta, and every physical row
+/// (tombstoned ones until Compact) sits in exactly one range or append
+/// list.
+void ExpectBucketLayout(const ShardedEngine& engine) {
+  for (int s = 0; s < engine.num_shards(); ++s) {
+    SCOPED_TRACE("shard=" + std::to_string(s));
+    const QueryEngine& shard = engine.shard(s);
+    const IvfIndex& ivf = shard.ivf_index();
+    const int base = shard.base_rows();
+    const int total = base + shard.delta_rows();
+    std::vector<int> seen(static_cast<size_t>(total), 0);
+    int next = 0;
+    for (int b = 0; b < ivf.num_buckets(); ++b) {
+      const IvfBucket& bucket = ivf.posting(b);
+      ASSERT_EQ(bucket.begin, next) << "bucket " << b;
+      ASSERT_LE(bucket.begin, bucket.end) << "bucket " << b;
+      next = bucket.end;
+      ASSERT_LE(next, base) << "bucket " << b;
+      for (int row = bucket.begin; row < bucket.end; ++row) {
+        ++seen[static_cast<size_t>(row)];
+      }
+      for (const int row : bucket.appended) {
+        ASSERT_GE(row, base);
+        ASSERT_LT(row, total);
+        ++seen[static_cast<size_t>(row)];
+      }
+    }
+    EXPECT_EQ(next, base);
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), total);
+  }
+}
+
 // Every stage-3 candidate source selects through the fused integer top-k:
 // after random insert/remove/compact churn (tombstones left in base and
 // delta), each must equal the reference ranking over the live rows — the
 // full scan, NPROBE=all (also bit-identical to the full scan), the default
 // probe width (restricted to the probed pool), the containment prefilter
 // (restricted to the candidates when it narrows), and the tiled scan at
-// every tile width.
+// every tile width. Every Compact must leave the buckets tiling the base.
+// A v3 snapshot of the churned engine, reloaded (a fresh bucket layout
+// from the adopted IVF), must pass the same checks and answer like the
+// live engine.
 TEST(ApproxQueryTest, FusedSelectionMatchesReferenceUnderChurn) {
   const Corpus corpus = ClusteredCorpus(/*seed=*/31);
+  const std::string path =
+      ::testing::TempDir() + "/gdim_approx_churn_snapshot.idx3";
   for (const int shards : {1, 4}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     ShardedOptions opts = Sharded(shards);
@@ -291,8 +329,78 @@ TEST(ApproxQueryTest, FusedSelectionMatchesReferenceUnderChurn) {
     auto engine = ShardedEngine::FromIndex(IndexFor(corpus.rows), opts);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     ScopedRole writer(&engine->writer_role());
+    ExpectBucketLayout(*engine);
     Rng rng(32);
     int narrowed = 0;
+    int compactions = 0;
+
+    // Checks one engine (frozen as `frozen`) against the reference over
+    // `live`; returns the answers in check order, so two engines can be
+    // compared query for query.
+    const auto check = [&](const ShardedEngine& e,
+                           const FrozenShardedState& frozen,
+                           const PersistedIndex& live,
+                           const std::vector<std::vector<uint8_t>>& queries) {
+      std::vector<Ranking> answers;
+      for (const int k : {1, kTopK, 1000}) {
+        for (const std::vector<uint8_t>& query : queries) {
+          const Ranking full = ReferenceTopK(live, query, nullptr, k);
+          answers.push_back(
+              e.QueryMapped(query, {.k = k, .scan_mode = ScanMode::kFull}));
+          EXPECT_EQ(answers.back(), full);
+          answers.push_back(e.QueryMapped(query,
+                                          {.k = k,
+                                           .scan_mode = ScanMode::kApprox,
+                                           .nprobe = kNprobeAll}));
+          EXPECT_EQ(answers.back(), full);
+          const std::set<int> pool = ApproxPoolIds(e, frozen, query);
+          answers.push_back(e.QueryMapped(
+              query, {.k = k, .scan_mode = ScanMode::kApprox}));
+          EXPECT_EQ(answers.back(), ReferenceTopK(live, query, &pool, k));
+
+          std::set<int> contains_all;
+          int features_on = 0;
+          for (const uint8_t bit : query) features_on += bit;
+          for (size_t i = 0; i < live.db_bits.size(); ++i) {
+            bool all = true;
+            for (size_t r = 0; r < query.size(); ++r) {
+              if (query[r] != 0 && live.db_bits[i][r] == 0) all = false;
+            }
+            if (all) contains_all.insert(live.ids[i]);
+          }
+          const int candidates = static_cast<int>(contains_all.size());
+          const bool narrows = features_on > 0 && candidates > 0 &&
+                               candidates >= k &&
+                               candidates < e.num_graphs();
+          ServeQueryStats stats;
+          answers.push_back(e.QueryMapped(query, {.k = k}, &stats));
+          EXPECT_EQ(answers.back(),
+                    ReferenceTopK(live, query,
+                                  narrows ? &contains_all : nullptr, k));
+          EXPECT_EQ(stats.prefiltered, narrows);
+          narrowed += narrows ? 1 : 0;
+        }
+        // The tiled scan, per shard against the shard's own live rows.
+        for (int s = 0; s < e.num_shards(); ++s) {
+          const QueryEngine& shard = e.shard(s);
+          const PersistedIndex shard_live = shard.ToPersistedIndex();
+          for (int width = 1; width <= 8; ++width) {
+            const std::vector<Ranking> tiled = shard.QueryMappedTile(
+                queries.data(), width,
+                {.k = k, .scan_mode = ScanMode::kFull});
+            for (int q = 0; q < width; ++q) {
+              EXPECT_EQ(tiled[static_cast<size_t>(q)],
+                        ReferenceTopK(shard_live,
+                                      queries[static_cast<size_t>(q)],
+                                      nullptr, k))
+                  << "shard=" << s << " width=" << width << " q=" << q;
+            }
+          }
+        }
+      }
+      return answers;
+    };
+
     for (int round = 0; round < 4; ++round) {
       SCOPED_TRACE("round=" + std::to_string(round));
       for (int step = 0; step < 60; ++step) {
@@ -310,11 +418,14 @@ TEST(ApproxQueryTest, FusedSelectionMatchesReferenceUnderChurn) {
               engine->Remove(alive[rng.UniformU64(alive.size())]).ok());
         } else {
           engine->Compact();
+          ++compactions;
+          ExpectBucketLayout(*engine);
+          EXPECT_EQ(engine->physical_rows(), engine->num_graphs());
         }
       }
       ASSERT_GT(engine->tombstoned_rows(), 0);
+      ExpectBucketLayout(*engine);
       const PersistedIndex live = engine->ToPersistedIndex();
-      const FrozenShardedState frozen = engine->Freeze();
       std::vector<std::vector<uint8_t>> queries;
       for (int q = 0; q < 8; ++q) {
         const auto& proto =
@@ -330,64 +441,84 @@ TEST(ApproxQueryTest, FusedSelectionMatchesReferenceUnderChurn) {
         }
         queries.push_back(std::move(query));
       }
-      for (const int k : {1, kTopK, 1000}) {
-        for (const std::vector<uint8_t>& query : queries) {
-          const Ranking full = ReferenceTopK(live, query, nullptr, k);
-          EXPECT_EQ(engine->QueryMapped(
-                        query, {.k = k, .scan_mode = ScanMode::kFull}),
-                    full);
-          EXPECT_EQ(engine->QueryMapped(query,
-                                        {.k = k,
-                                         .scan_mode = ScanMode::kApprox,
-                                         .nprobe = kNprobeAll}),
-                    full);
-          const std::set<int> pool = ApproxPoolIds(*engine, frozen, query);
-          EXPECT_EQ(engine->QueryMapped(
-                        query, {.k = k, .scan_mode = ScanMode::kApprox}),
-                    ReferenceTopK(live, query, &pool, k));
+      const std::vector<Ranking> answers =
+          check(*engine, engine->Freeze(), live, queries);
 
-          std::set<int> contains_all;
-          int features_on = 0;
-          for (const uint8_t bit : query) features_on += bit;
-          for (size_t i = 0; i < live.db_bits.size(); ++i) {
-            bool all = true;
-            for (size_t r = 0; r < query.size(); ++r) {
-              if (query[r] != 0 && live.db_bits[i][r] == 0) all = false;
-            }
-            if (all) contains_all.insert(live.ids[i]);
-          }
-          const int candidates = static_cast<int>(contains_all.size());
-          const bool narrows = features_on > 0 && candidates > 0 &&
-                               candidates >= k &&
-                               candidates < engine->num_graphs();
-          ServeQueryStats stats;
-          EXPECT_EQ(engine->QueryMapped(query, {.k = k}, &stats),
-                    ReferenceTopK(live, query,
-                                  narrows ? &contains_all : nullptr, k));
-          EXPECT_EQ(stats.prefiltered, narrows);
-          narrowed += narrows ? 1 : 0;
-        }
-        // The tiled scan, per shard against the shard's own live rows.
-        for (int s = 0; s < engine->num_shards(); ++s) {
-          const QueryEngine& shard = engine->shard(s);
-          const PersistedIndex shard_live = shard.ToPersistedIndex();
-          for (int width = 1; width <= 8; ++width) {
-            const std::vector<Ranking> tiled = shard.QueryMappedTile(
-                queries.data(), width,
-                {.k = k, .scan_mode = ScanMode::kFull});
-            for (int q = 0; q < width; ++q) {
-              EXPECT_EQ(tiled[static_cast<size_t>(q)],
-                        ReferenceTopK(shard_live,
-                                      queries[static_cast<size_t>(q)],
-                                      nullptr, k))
-                  << "shard=" << s << " width=" << width << " q=" << q;
-            }
-          }
-        }
+      // The v3 round trip: the reload adopts the persisted buckets and lays
+      // its base out afresh, yet answers exactly like the live engine.
+      // Buckets emptied by removals are not persisted; only when none was
+      // can the default probe width pick the same buckets.
+      ASSERT_TRUE(engine->Snapshot(path, IndexFormat::kV3Sectioned).ok());
+      auto reloaded = ShardedEngine::Open(path, opts);
+      ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+      ScopedRole reloaded_writer(&reloaded->writer_role());
+      ExpectBucketLayout(*reloaded);
+      EXPECT_EQ(reloaded->alive_ids(), engine->alive_ids());
+      const std::vector<Ranking> reloaded_answers =
+          check(*reloaded, reloaded->Freeze(), live, queries);
+      ASSERT_EQ(reloaded_answers.size(), answers.size());
+      const bool same_buckets =
+          reloaded->ivf_buckets() == engine->ivf_buckets();
+      for (size_t i = 0; i < answers.size(); ++i) {
+        // Every fourth answer of a query is its default-width approx one.
+        if (i % 4 == 2 && !same_buckets) continue;
+        EXPECT_EQ(reloaded_answers[i], answers[i]) << "answer " << i;
       }
     }
-    EXPECT_GT(narrowed, 0);  // the narrowed candidate path did run
+    EXPECT_GT(narrowed, 0);     // the narrowed candidate path did run
+    EXPECT_GT(compactions, 0);  // and the tiling was checked after Compact
   }
+}
+
+// The id-ordered views of an engine — alive_ids, LiveRowWords, and
+// ToPersistedIndex — ascend by id although the base is stored in bucket
+// order: for a built engine, after churn, and for an engine that adopted a
+// v3 snapshot's IVF layout.
+TEST(ApproxQueryTest, IdOrderedViewsAscendAcrossBucketLayouts) {
+  const Corpus corpus = ClusteredCorpus(/*seed=*/37);
+  const auto expect_ascending = [](const QueryEngine& engine) {
+    const std::vector<int> ids = engine.alive_ids();
+    EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+    EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+    const auto words = engine.LiveRowWords();
+    const PersistedIndex persisted = engine.ToPersistedIndex();
+    ASSERT_EQ(words.size(), ids.size());
+    ASSERT_EQ(persisted.ids, ids);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(words[i].first, ids[i]);
+      const std::vector<uint64_t> packed =
+          PackedBitMatrix::PackBits(persisted.db_bits[i]);
+      EXPECT_TRUE(std::equal(packed.begin(), packed.end(), words[i].second))
+          << "id " << ids[i];
+    }
+  };
+  auto built = QueryEngine::FromIndex(IndexFor(corpus.rows));
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  expect_ascending(*built);
+  EXPECT_EQ(built->alive_ids().size(), corpus.rows.size());
+  // The layout is not the id order: a clustered corpus fills several
+  // buckets, each a run of ids from all over the id space.
+  EXPECT_GT(built->ivf_buckets(), 1);
+
+  ScopedRole writer(&built->writer_role());
+  Rng rng(38);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(built->InsertMapped(RandomBits(&rng)).ok());
+    const std::vector<int> alive = built->alive_ids();
+    ASSERT_TRUE(built->Remove(alive[rng.UniformU64(alive.size())]).ok());
+  }
+  expect_ascending(*built);
+  built->Compact();
+  expect_ascending(*built);
+
+  const std::string path =
+      ::testing::TempDir() + "/gdim_id_order_snapshot.idx3";
+  ASSERT_TRUE(built->Snapshot(path, IndexFormat::kV3Sectioned).ok());
+  auto adopted = QueryEngine::Open(path);
+  ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
+  expect_ascending(*adopted);
+  EXPECT_EQ(adopted->alive_ids(), built->alive_ids());
+  EXPECT_EQ(adopted->ivf_buckets(), built->ivf_buckets());
 }
 
 TEST(ApproxQueryTest, GenerationSwapRebuildsIvfWithZeroStaleBuckets) {

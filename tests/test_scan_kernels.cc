@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -228,9 +229,12 @@ TEST(ScanKernelTest, ScanTopKMultiMatchesPerRowScores) {
   std::vector<const uint64_t*> query_ptrs;
   for (const auto& q : raw_queries) packed.push_back(matrix.PackQuery(q));
   for (const auto& q : packed) query_ptrs.push_back(q.data());
+  std::vector<int> ids(static_cast<size_t>(matrix.num_rows()));
+  std::iota(ids.begin(), ids.end(), 0);
   for (const ScanKernel* kernel : HostKernels()) {
     std::vector<HammingTopK> tops(5, HammingTopK(matrix.num_rows()));
-    ScanTopK(*kernel, matrix, query_ptrs.data(), 5, 0, nullptr, tops.data());
+    ScanTopK(*kernel, matrix, 0, matrix.num_rows(), query_ptrs.data(), 5,
+             ids.data(), nullptr, tops.data());
     for (int q = 0; q < 5; ++q) {
       EXPECT_EQ(tops[static_cast<size_t>(q)].Take(num_bits),
                 MappedRanking(raw_queries[static_cast<size_t>(q)], rows))

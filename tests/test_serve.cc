@@ -143,7 +143,8 @@ TEST(HammingTopKTest, EqualsFullSortThenTruncate) {
   for (int k : {0, 1, 10, 200}) {
     HammingTopK top(k);
     for (int i = 0; i < 500; ++i) {
-      top.Offer(distances[static_cast<size_t>(i)], i, removed.data());
+      top.Offer(distances[static_cast<size_t>(i)], i,
+                &removed[static_cast<size_t>(i)]);
     }
     EXPECT_EQ(top.Take(p), TopK(candidates, k)) << "k=" << k;
   }
@@ -359,6 +360,29 @@ TEST(PackedBitMatrixTest, AppendRowMatchesFromRows) {
                 rows[static_cast<size_t>(i)]);
     }
   }
+}
+
+TEST(PackedBitMatrixTest, PermuteRowsMovesEveryRowOnce) {
+  Rng rng(43);
+  for (int p : {1, 64, 130}) {
+    for (const int n : {0, 1, 2, 37}) {
+      const auto rows = RandomBitRows(n, p, 0.4, &rng);
+      PackedBitMatrix m = PackedBitMatrix::FromRows(rows, p);
+      std::vector<int> order(static_cast<size_t>(n));
+      for (int i = 0; i < n; ++i) order[static_cast<size_t>(i)] = i;
+      rng.Shuffle(&order);
+      m.PermuteRows(order);
+      ASSERT_EQ(m.num_rows(), n);
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(m.UnpackRow(i),
+                  rows[static_cast<size_t>(order[static_cast<size_t>(i)])])
+            << "p=" << p << " n=" << n << " row " << i;
+      }
+    }
+  }
+  PackedBitMatrix small =
+      PackedBitMatrix::FromRows(RandomBitRows(3, 8, 0.4, &rng));
+  EXPECT_DEATH(small.PermuteRows({0, 0, 1}), "not a permutation");
 }
 
 TEST(PackedBitMatrixTest, PackQueryValidatesWidthEvenWhenEmpty) {

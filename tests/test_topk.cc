@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "common/random.h"
@@ -93,6 +94,8 @@ TEST(HammingTopKTest, FusedScanMatchesReferenceOnEveryKernel) {
       removed[kBaseRows + 1] = 1;   // and one delta tombstone
       int live = 0;
       for (const uint8_t r : removed) live += r == 0 ? 1 : 0;
+      std::vector<int> ids(rows.size());
+      std::iota(ids.begin(), ids.end(), 0);
 
       const auto queries = RandomBitRows(kQueries, p, 0.4, &rng);
       std::vector<std::vector<uint64_t>> packed;
@@ -103,10 +106,11 @@ TEST(HammingTopKTest, FusedScanMatchesReferenceOnEveryKernel) {
       for (const ScanKernel* kernel : SupportedScanKernels()) {
         for (const int k : {0, 1, 10, live + 5}) {
           std::vector<HammingTopK> tops(kQueries, HammingTopK(k));
-          ScanTopK(*kernel, base, query_ptrs.data(), kQueries, 0,
-                   removed.data(), tops.data());
-          ScanTopK(*kernel, delta, query_ptrs.data(), kQueries, kBaseRows,
-                   removed.data(), tops.data());
+          ScanTopK(*kernel, base, 0, kBaseRows, query_ptrs.data(), kQueries,
+                   ids.data(), removed.data(), tops.data());
+          ScanTopK(*kernel, delta, 0, kDeltaRows, query_ptrs.data(),
+                   kQueries, ids.data() + kBaseRows,
+                   removed.data() + kBaseRows, tops.data());
           for (int q = 0; q < kQueries; ++q) {
             EXPECT_EQ(tops[static_cast<size_t>(q)].Take(p),
                       ReferenceTopK(queries[static_cast<size_t>(q)], rows,
@@ -116,6 +120,38 @@ TEST(HammingTopKTest, FusedScanMatchesReferenceOnEveryKernel) {
           }
         }
       }
+    }
+  }
+}
+
+// Selection keys on (distance, external id), not on storage order: rows
+// stored under shuffled ids — the bucket-ordered base segment — rank like
+// the same rows stored in id order, ties included.
+TEST(HammingTopKTest, TiesFollowIdsNotStorageOrder) {
+  Rng rng(1302);
+  constexpr int kRows = 600;
+  constexpr int kBits = 8;  // few distinct distances: many ties
+  const auto rows = RandomBitRows(kRows, kBits, 0.5, &rng);
+  std::vector<int> ids(kRows);
+  std::iota(ids.begin(), ids.end(), 0);
+  rng.Shuffle(&ids);
+  // Slot s stores the row of id ids[s].
+  std::vector<std::vector<uint8_t>> stored;
+  for (const int id : ids) stored.push_back(rows[static_cast<size_t>(id)]);
+  const PackedBitMatrix matrix = PackedBitMatrix::FromRows(stored, kBits);
+  const std::vector<uint8_t> query = RandomBitRows(1, kBits, 0.5, &rng)[0];
+  const std::vector<uint64_t> packed = matrix.PackQuery(query);
+  const uint64_t* queries[] = {packed.data()};
+  for (const ScanKernel* kernel : SupportedScanKernels()) {
+    for (const int k : {1, 10, 100, kRows}) {
+      HammingTopK top(k);
+      // Two ranges, the second first: range order is irrelevant too.
+      ScanTopK(*kernel, matrix, 300, kRows, queries, 1, ids.data(), nullptr,
+               &top);
+      ScanTopK(*kernel, matrix, 0, 300, queries, 1, ids.data(), nullptr,
+               &top);
+      EXPECT_EQ(top.Take(kBits), TopK(MappedRanking(query, rows), k))
+          << kernel->name() << " k=" << k;
     }
   }
 }
