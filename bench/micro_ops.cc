@@ -186,45 +186,55 @@ void BM_Delta2Pair(benchmark::State& state) {
 }
 BENCHMARK(BM_Delta2Pair);
 
-// Stage 3 of one query on one serving shard: a QueryMapped over 100k
-// clustered 128-bit rows (rows are 512 random prototypes with each bit
-// flipped w.p. 1/8, like the fingerprint serving corpus), k = 10, in
-// `mode`: query packing, the popcount scan with fused integer top-k, and
-// for MODE=approx the centroid ranking at the default NPROBE. Items are
-// the rows scored.
-void RunShardTopK(benchmark::State& state, ScanMode mode) {
-  constexpr int kRows = 100000;
-  constexpr int kBits = 128;
+// One serving shard of clustered `bits`-wide rows (512 random prototypes
+// with each bit flipped w.p. 1/8, like the fingerprint serving corpus),
+// sized to 1.6 MB of fingerprint words whatever the width: 100k rows at
+// p=128, 50k at p=256, 12.5k at p=1024. `queries` receives 64 draws from
+// the same prototypes.
+Result<QueryEngine> BuildShard(int bits,
+                               std::vector<std::vector<uint8_t>>* queries) {
+  const int rows = 100000 * 128 / bits;
   Rng rng(2014);
   std::vector<std::vector<uint8_t>> prototypes(512);
   for (auto& proto : prototypes) {
-    proto.resize(kBits);
+    proto.resize(static_cast<size_t>(bits));
     for (auto& bit : proto) bit = rng.Bernoulli(0.15) ? 1 : 0;
   }
-  auto draw = [&](std::vector<uint8_t>* bits) {
-    *bits = prototypes[rng.UniformU64(prototypes.size())];
-    for (auto& bit : *bits) bit ^= rng.Bernoulli(0.125) ? 1 : 0;
+  auto draw = [&](std::vector<uint8_t>* out) {
+    *out = prototypes[rng.UniformU64(prototypes.size())];
+    for (auto& bit : *out) bit ^= rng.Bernoulli(0.125) ? 1 : 0;
   };
   PackedIndex index;
-  for (int r = 0; r < kBits; ++r) {
+  for (int r = 0; r < bits; ++r) {
     Graph feature;
     feature.AddVertex(static_cast<LabelId>(r));
     index.features.push_back(std::move(feature));
   }
-  index.rows = PackedBitMatrix::WithWidth(kBits);
-  index.rows.Reserve(kRows);
-  std::vector<uint8_t> bits;
-  for (int i = 0; i < kRows; ++i) {
-    draw(&bits);
-    index.rows.AppendRow(bits);
+  index.rows = PackedBitMatrix::WithWidth(bits);
+  index.rows.Reserve(rows);
+  std::vector<uint8_t> row;
+  for (int i = 0; i < rows; ++i) {
+    draw(&row);
+    index.rows.AppendRow(row);
   }
-  Result<QueryEngine> engine = QueryEngine::FromPacked(std::move(index));
+  queries->assign(64, {});
+  for (auto& q : *queries) draw(&q);
+  return QueryEngine::FromPacked(std::move(index));
+}
+
+// Stage 3 of one query on one serving shard of width state.range(0)
+// (128: the fingerprint corpus, 256: the chemical one), k = 10, in `mode`:
+// query packing, the popcount scan with fused integer top-k, and for
+// MODE=approx the centroid ranking at the default NPROBE. Items are the
+// rows scored.
+void RunShardTopK(benchmark::State& state, ScanMode mode) {
+  std::vector<std::vector<uint8_t>> queries;
+  Result<QueryEngine> engine =
+      BuildShard(static_cast<int>(state.range(0)), &queries);
   if (!engine.ok()) {
     state.SkipWithError(engine.status().ToString().c_str());
     return;
   }
-  std::vector<std::vector<uint8_t>> queries(64);
-  for (auto& q : queries) draw(&q);
   const QueryOptions options{.k = 10, .scan_mode = mode};
   size_t qi = 0;
   int64_t scanned = 0;
@@ -242,14 +252,54 @@ void RunShardTopK(benchmark::State& state, ScanMode mode) {
 void BM_ShardScanTopK(benchmark::State& state) {
   RunShardTopK(state, ScanMode::kFull);
 }
-BENCHMARK(BM_ShardScanTopK)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ShardScanTopK)->Arg(128)->Arg(256)->Unit(benchmark::kMicrosecond);
 
 // The same shard in MODE=approx: the probed buckets' contiguous ranges
 // stream through the same block scan.
 void BM_ShardApproxTopK(benchmark::State& state) {
   RunShardTopK(state, ScanMode::kApprox);
 }
-BENCHMARK(BM_ShardApproxTopK)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ShardApproxTopK)
+    ->Arg(128)
+    ->Arg(256)
+    ->Unit(benchmark::kMicrosecond);
+
+// A tile of state.range(1) queries scanned together on a shard of width
+// state.range(0) (QueryMappedTile, the batch path): every L1-resident row
+// block is filtered against each query of the tile before the next block
+// loads. Reported per query; items are the rows scored.
+void BM_ShardTileTopK(benchmark::State& state) {
+  std::vector<std::vector<uint8_t>> queries;
+  Result<QueryEngine> engine =
+      BuildShard(static_cast<int>(state.range(0)), &queries);
+  if (!engine.ok()) {
+    state.SkipWithError(engine.status().ToString().c_str());
+    return;
+  }
+  const int tile = static_cast<int>(state.range(1));
+  const QueryOptions options{.k = 10, .scan_mode = ScanMode::kFull};
+  size_t qi = 0;
+  int64_t scanned = 0;
+  std::vector<ServeQueryStats> stats;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        engine->QueryMappedTile(&queries[qi], tile, options, &stats));
+    scanned += static_cast<int64_t>(stats.front().scanned) * tile;
+    qi = (qi + static_cast<size_t>(tile)) % queries.size();
+  }
+  state.SetItemsProcessed(scanned);
+  state.counters["time_per_query"] = benchmark::Counter(
+      static_cast<double>(tile), benchmark::Counter::kIsIterationInvariantRate |
+                                     benchmark::Counter::kInvert);
+  state.SetLabel(std::string("kernel=") + ActiveScanKernel().name());
+}
+BENCHMARK(BM_ShardTileTopK)
+    ->Args({128, 2})
+    ->Args({128, 4})
+    ->Args({128, 8})
+    ->Args({1024, 2})
+    ->Args({1024, 8})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace gdim

@@ -1,6 +1,6 @@
 // Serving hot-path throughput: packed word-popcount scans vs the seed's
-// byte-vector scans, plus the multi-query SIMD kernels against each other,
-// on a synthetic mapped database.
+// byte-vector scans, plus the SIMD kernels against each other on a tiled
+// batch scan, on a synthetic mapped database.
 //
 //   bench_serve_throughput [--n=10000 --p=300 --queries=50 --k=10
 //                           --density=0.3 --repeat=3 --seed=7
@@ -60,10 +60,11 @@ struct KernelTiming {
   double qps = 0.0;
 };
 
-/// Runs the block-tiled multi-query Hamming scan exactly the way the batch
-/// engines tile it — kernel.tile_width() queries per pass, kScanBlockRows
-/// rows per kernel call — writing raw diffs into *diffs (resized to
-/// num_queries * num_rows, diffs[q * num_rows + r]).
+/// Runs the block-tiled multi-query Hamming scan the way the batch engines
+/// tile it — kernel.tile_width() queries per pass, kScanBlockRows rows per
+/// kernel call, every query of the tile scanning a block before the next
+/// loads — writing raw diffs into *diffs (resized to num_queries *
+/// num_rows, diffs[q * num_rows + r]).
 void TiledBatchScan(const ScanKernel& kernel, const PackedBitMatrix& packed,
                     const std::vector<std::vector<uint64_t>>& queries,
                     std::vector<uint32_t>* diffs,
@@ -75,22 +76,16 @@ void TiledBatchScan(const ScanKernel& kernel, const PackedBitMatrix& packed,
   const int num_queries = static_cast<int>(queries.size());
   diffs->resize(static_cast<size_t>(num_queries) * num_rows);
   per_query_ms->clear();
-  std::vector<const uint64_t*> query_ptrs(static_cast<size_t>(tile));
-  std::vector<uint32_t> block(static_cast<size_t>(tile) * kBlockRows);
   for (int q0 = 0; q0 < num_queries; q0 += tile) {
     WallTimer timer;
     const int nq = std::min(tile, num_queries - q0);
-    for (int q = 0; q < nq; ++q) {
-      query_ptrs[static_cast<size_t>(q)] = queries[q0 + q].data();
-    }
     for (int r0 = 0; r0 < num_rows; r0 += kBlockRows) {
       const int nr = std::min(kBlockRows, num_rows - r0);
-      kernel.HammingBlockMulti(query_ptrs.data(), nq, packed.row(r0), words,
-                               nr, block.data());
       for (int q = 0; q < nq; ++q) {
-        std::copy(block.begin() + q * nr, block.begin() + (q + 1) * nr,
-                  diffs->begin() +
-                      static_cast<size_t>(q0 + q) * num_rows + r0);
+        kernel.HammingBlock(
+            queries[static_cast<size_t>(q0 + q)].data(), packed.row(r0),
+            words, nr,
+            diffs->data() + static_cast<size_t>(q0 + q) * num_rows + r0);
       }
     }
     const double tile_ms = timer.Millis();

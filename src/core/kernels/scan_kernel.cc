@@ -8,56 +8,26 @@ namespace gdim {
 
 namespace {
 
+/// popcount(query ^ row) over words_per_row words, one POPCNT per word.
+inline uint32_t RowDistance(const uint64_t* query, const uint64_t* row,
+                            size_t words_per_row) {
+  uint32_t diff = 0;
+  for (size_t w = 0; w < words_per_row; ++w) {
+    diff += static_cast<uint32_t>(std::popcount(query[w] ^ row[w]));
+  }
+  return diff;
+}
+
 class ScalarKernel final : public ScanKernel {
  public:
   const char* name() const override { return "scalar"; }
-
-  int tile_width() const override { return 4; }
 
   void HammingBlock(const uint64_t* query, const uint64_t* rows,
                     size_t words_per_row, int num_rows,
                     uint32_t* diffs) const override {
     const uint64_t* row = rows;
     for (int r = 0; r < num_rows; ++r, row += words_per_row) {
-      uint32_t diff = 0;
-      for (size_t w = 0; w < words_per_row; ++w) {
-        diff += static_cast<uint32_t>(std::popcount(query[w] ^ row[w]));
-      }
-      diffs[r] = diff;
-    }
-  }
-
-  void HammingBlockMulti(const uint64_t* const* queries, int num_queries,
-                         const uint64_t* rows, size_t words_per_row,
-                         int num_rows, uint32_t* diffs) const override {
-    // Register-tile the queries in fours: each row word is loaded once per
-    // four queries instead of once per query, which is the whole point of
-    // the multi-query entry even without SIMD.
-    int q = 0;
-    for (; q + 4 <= num_queries; q += 4) {
-      const uint64_t* q0 = queries[q];
-      const uint64_t* q1 = queries[q + 1];
-      const uint64_t* q2 = queries[q + 2];
-      const uint64_t* q3 = queries[q + 3];
-      const uint64_t* row = rows;
-      for (int r = 0; r < num_rows; ++r, row += words_per_row) {
-        uint32_t d0 = 0, d1 = 0, d2 = 0, d3 = 0;
-        for (size_t w = 0; w < words_per_row; ++w) {
-          const uint64_t word = row[w];
-          d0 += static_cast<uint32_t>(std::popcount(q0[w] ^ word));
-          d1 += static_cast<uint32_t>(std::popcount(q1[w] ^ word));
-          d2 += static_cast<uint32_t>(std::popcount(q2[w] ^ word));
-          d3 += static_cast<uint32_t>(std::popcount(q3[w] ^ word));
-        }
-        diffs[static_cast<size_t>(q) * num_rows + r] = d0;
-        diffs[static_cast<size_t>(q + 1) * num_rows + r] = d1;
-        diffs[static_cast<size_t>(q + 2) * num_rows + r] = d2;
-        diffs[static_cast<size_t>(q + 3) * num_rows + r] = d3;
-      }
-    }
-    for (; q < num_queries; ++q) {
-      HammingBlock(queries[q], rows, words_per_row, num_rows,
-                   diffs + static_cast<size_t>(q) * num_rows);
+      diffs[r] = RowDistance(query, row, words_per_row);
     }
   }
 };
@@ -98,6 +68,28 @@ const ScanKernel* PickActiveKernel() {
 }
 
 }  // namespace
+
+int ScanKernel::HammingWithin(const uint64_t* query, const uint64_t* rows,
+                              size_t words_per_row, int num_rows,
+                              uint32_t max_distance, int* hit_rows,
+                              uint32_t* hit_dists) const {
+  auto filter = [&](size_t width) {
+    int hits = 0;
+    const uint64_t* row = rows;
+    for (int r = 0; r < num_rows; ++r, row += width) {
+      const uint32_t diff = RowDistance(query, row, width);
+      if (diff > max_distance) continue;
+      hit_rows[hits] = r;
+      hit_dists[hits++] = diff;
+    }
+    return hits;
+  };
+  // The serving widths (p = 128 and 256) pass a constant, so the inlined
+  // word loop unrolls; a run-time word count costs a loop per row.
+  if (words_per_row == 2) return filter(2);
+  if (words_per_row == 4) return filter(4);
+  return filter(words_per_row);
+}
 
 const ScanKernel& ScalarScanKernel() {
   static const ScalarKernel kernel;

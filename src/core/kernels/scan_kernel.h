@@ -18,7 +18,8 @@ namespace gdim {
 /// outputs for any width, any padding content (callers guarantee padding
 /// bits are zero in both query and rows; PackedBitMatrix enforces that at
 /// load), and any row count — which in turn makes scores and top-k tie
-/// order identical for every kernel.
+/// order identical for every kernel. HammingWithin returns the same hit
+/// set on every kernel for the same reason.
 class ScanKernel {
  public:
   virtual ~ScanKernel() = default;
@@ -27,10 +28,12 @@ class ScanKernel {
   /// GDIM_FORCE_KERNEL matches and what STATS reports as kernel=.
   virtual const char* name() const = 0;
 
-  /// Preferred number of concurrent queries per row-block pass — how wide
-  /// the engines tile QueryMappedBatch. Sized so the per-query accumulators
-  /// plus one row vector stay in registers.
-  virtual int tile_width() const = 0;
+  /// Number of queries that share one pass over each row block — how wide
+  /// the engines tile QueryMappedBatch. Every query of a tile filters the
+  /// block while it is still L1-resident, so a wider tile amortizes each
+  /// row load from L2 over more queries. Each query makes its own
+  /// HammingWithin call, so the width does not depend on the kernel.
+  int tile_width() const { return 8; }
 
   /// diffs[r] = popcount(query ^ rows[r]) for num_rows consecutive rows of
   /// words_per_row words each, rows row-major starting at `rows`. The query
@@ -39,14 +42,29 @@ class ScanKernel {
                             size_t words_per_row, int num_rows,
                             uint32_t* diffs) const = 0;
 
-  /// Multi-query form: diffs[q * num_rows + r] = popcount(queries[q] ^
-  /// rows[r]). One pass over the row block serves all num_queries queries —
-  /// each row's words are loaded once and XORed against every query while
-  /// still cache-resident (register-tiled inside the kernel).
-  virtual void HammingBlockMulti(const uint64_t* const* queries,
-                                 int num_queries, const uint64_t* rows,
-                                 size_t words_per_row, int num_rows,
-                                 uint32_t* diffs) const = 0;
+  /// The fused scan-and-filter behind stage 3: writes exactly the rows r
+  /// (0 <= r < num_rows, same layout as HammingBlock) whose distance
+  /// popcount(query ^ rows[r]) is <= max_distance — row index to
+  /// hit_rows[i], distance to hit_dists[i], in no particular order — and
+  /// returns how many. Both outputs need room for num_rows entries. A row
+  /// above the bound never leaves the kernel, so with a tight bound a
+  /// block costs only XOR, POPCNT and one compare per row.
+  ///
+  /// ScanTopK passes a selector's current kth distance as max_distance,
+  /// read once at the start of a block. That is exact, not a heuristic:
+  /// the bound only tightens while the block's hits are offered, so the
+  /// block-start bound admits a superset of the rows that can still enter,
+  /// and the selector re-checks each hit against its live (distance, id)
+  /// bound. Ties at the bound must pass (<=): a row at the kth distance
+  /// with a smaller id still displaces the kth key.
+  ///
+  /// The default, which the scalar and avx2 kernels use, filters each
+  /// row's distance (one POPCNT per word) as it is computed: no distance
+  /// buffer and no second pass.
+  virtual int HammingWithin(const uint64_t* query, const uint64_t* rows,
+                            size_t words_per_row, int num_rows,
+                            uint32_t max_distance, int* hit_rows,
+                            uint32_t* hit_dists) const;
 };
 
 /// The portable baseline kernel; always available.

@@ -65,8 +65,6 @@ class Avx2Kernel final : public ScanKernel {
  public:
   const char* name() const override { return "avx2"; }
 
-  int tile_width() const override { return 8; }
-
   void HammingBlock(const uint64_t* query, const uint64_t* rows,
                     size_t words_per_row, int num_rows,
                     uint32_t* diffs) const override {
@@ -112,69 +110,6 @@ class Avx2Kernel final : public ScanKernel {
         diff += static_cast<uint32_t>(std::popcount(query[w] ^ row[w]));
       }
       diffs[r] = diff;
-    }
-  }
-
-  void HammingBlockMulti(const uint64_t* const* queries, int num_queries,
-                         const uint64_t* rows, size_t words_per_row,
-                         int num_rows, uint32_t* diffs) const override {
-    const size_t vec_words = words_per_row & ~size_t{3};
-    int q = 0;
-    // Two queries by four rows per pass: eight accumulators plus the
-    // popcount constants and the shared row vector stay within the sixteen
-    // ymm registers, every row load is amortized over two XORs, and both
-    // queries' reductions use the unpack/permute tree.
-    for (; q + 2 <= num_queries; q += 2) {
-      const uint64_t* q0 = queries[q];
-      const uint64_t* q1 = queries[q + 1];
-      uint32_t* out0 = diffs + static_cast<size_t>(q) * num_rows;
-      uint32_t* out1 = diffs + static_cast<size_t>(q + 1) * num_rows;
-      int r = 0;
-      for (; r + 4 <= num_rows; r += 4) {
-        const uint64_t* row = rows + static_cast<size_t>(r) * words_per_row;
-        __m256i a0[4], a1[4];
-        for (int j = 0; j < 4; ++j) {
-          a0[j] = _mm256_setzero_si256();
-          a1[j] = _mm256_setzero_si256();
-        }
-        size_t w = 0;
-        for (; w < vec_words; w += 4) {
-          const __m256i v0 =
-              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q0 + w));
-          const __m256i v1 =
-              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q1 + w));
-          for (int j = 0; j < 4; ++j) {
-            const __m256i d =
-                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                    row + static_cast<size_t>(j) * words_per_row + w));
-            a0[j] = _mm256_add_epi64(a0[j],
-                                     PopcountEpi64(_mm256_xor_si256(d, v0)));
-            a1[j] = _mm256_add_epi64(a1[j],
-                                     PopcountEpi64(_mm256_xor_si256(d, v1)));
-          }
-        }
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(out0 + r), RowSums4(a0));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(out1 + r), RowSums4(a1));
-        for (; w < words_per_row; ++w) {
-          for (int j = 0; j < 4; ++j) {
-            const uint64_t word =
-                row[static_cast<size_t>(j) * words_per_row + w];
-            out0[r + j] +=
-                static_cast<uint32_t>(std::popcount(q0[w] ^ word));
-            out1[r + j] +=
-                static_cast<uint32_t>(std::popcount(q1[w] ^ word));
-          }
-        }
-      }
-      if (r < num_rows) {
-        const uint64_t* rest = rows + static_cast<size_t>(r) * words_per_row;
-        HammingBlock(q0, rest, words_per_row, num_rows - r, out0 + r);
-        HammingBlock(q1, rest, words_per_row, num_rows - r, out1 + r);
-      }
-    }
-    for (; q < num_queries; ++q) {
-      HammingBlock(queries[q], rows, words_per_row, num_rows,
-                   diffs + static_cast<size_t>(q) * num_rows);
     }
   }
 };

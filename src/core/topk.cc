@@ -12,9 +12,9 @@ namespace gdim {
 
 namespace {
 
-/// Rows per kernel call in ScanTopK: 256 rows of up to a few hundred words
-/// keeps the block plus the per-query diff scratch comfortably inside L2
-/// while amortizing the virtual dispatch to nothing.
+/// Rows per kernel call in ScanTopK: 256 rows of up to 16 words (p=1024)
+/// fill 32 KB, so a block stays L1-resident while every query of a tile
+/// filters it, and the virtual dispatch amortizes to nothing.
 constexpr int kScanBlockRows = 256;
 
 }  // namespace
@@ -49,18 +49,6 @@ void HammingTopK::Admit(uint64_t key) {
   if (heap_.size() == k_) bound_ = heap_.front();
 }
 
-void HammingTopK::OfferBlock(const uint32_t* distances, int count,
-                             const int* ids, const uint8_t* tombstones) {
-  uint32_t nearest = std::numeric_limits<uint32_t>::max();
-  for (int i = 0; i < count; ++i) nearest = std::min(nearest, distances[i]);
-  // Every key with a distance above the bound's distance is above the bound.
-  if (nearest > (bound_ >> 32)) return;
-  for (int i = 0; i < count; ++i) {
-    Offer(distances[i], ids[i],
-          tombstones == nullptr ? nullptr : tombstones + i);
-  }
-}
-
 Ranking HammingTopK::Take(int num_bits) {
   std::sort_heap(heap_.begin(), heap_.end());
   Ranking top;
@@ -78,17 +66,19 @@ Ranking HammingTopK::Take(int num_bits) {
 void ScanTopK(const ScanKernel& kernel, const PackedBitMatrix& rows, int begin,
               int end, const uint64_t* const* queries, int num_queries,
               const int* ids, const uint8_t* tombstones, HammingTopK* tops) {
-  if (num_queries <= 0 || begin >= end) return;
-  std::vector<uint32_t> diffs(static_cast<size_t>(num_queries) *
-                              kScanBlockRows);
+  int hit_rows[kScanBlockRows];
+  uint32_t hit_dists[kScanBlockRows];
   for (int row = begin; row < end; row += kScanBlockRows) {
     const int block = std::min(kScanBlockRows, end - row);
-    kernel.HammingBlockMulti(queries, num_queries, rows.row(row),
-                             rows.words_per_row(), block, diffs.data());
     for (int q = 0; q < num_queries; ++q) {
-      tops[q].OfferBlock(diffs.data() + static_cast<size_t>(q) * block, block,
-                         ids + row,
-                         tombstones == nullptr ? nullptr : tombstones + row);
+      const int hits = kernel.HammingWithin(
+          queries[q], rows.row(row), rows.words_per_row(), block,
+          tops[q].max_distance(), hit_rows, hit_dists);
+      for (int h = 0; h < hits; ++h) {
+        const int r = row + hit_rows[h];
+        tops[q].Offer(hit_dists[h], ids[r],
+                      tombstones == nullptr ? nullptr : tombstones + r);
+      }
     }
   }
 }

@@ -54,12 +54,11 @@ class HammingTopK {
     if (key < bound_ && (removed == nullptr || *removed == 0)) Admit(key);
   }
 
-  /// Offer() for `count` rows at distances[i] under ids[i], tombstone flag
-  /// tombstones[i] (tombstones nullable). A block whose nearest row cannot
-  /// enter is skipped after one min pass — the common case once the
-  /// selector is full.
-  void OfferBlock(const uint32_t* distances, int count, const int* ids,
-                  const uint8_t* tombstones);
+  /// The largest distance a row can have and still enter: the kth kept
+  /// distance once k are kept (a row at that distance enters if its id is
+  /// smaller), UINT32_MAX before; 0 for k <= 0, where nothing enters. Only
+  /// ever falls between Take() calls.
+  uint32_t max_distance() const { return static_cast<uint32_t>(bound_ >> 32); }
 
   /// The survivors in ascending (score, id) order, score =
   /// HammingScore(distance, num_bits). Leaves the selector empty.
@@ -79,9 +78,10 @@ class HammingTopK {
 /// receives row r under external id ids[r] at its distance to queries[q]
 /// (rows.words_per_row() words each). `ids` and the nullable `tombstones`
 /// are indexed by row of `rows` — the matrix's slice of its owner's id and
-/// tombstone columns. The rows stream through `kernel` in cache-resident
-/// blocks, each block XORed against all num_queries queries before the
-/// next loads.
+/// tombstone columns. The rows stream through `kernel` in blocks small
+/// enough to stay L1-resident; each block is filtered against every query
+/// in turn (ScanKernel::HammingWithin at that query's max_distance()), and
+/// only the rows that pass are offered.
 void ScanTopK(const ScanKernel& kernel, const PackedBitMatrix& rows, int begin,
               int end, const uint64_t* const* queries, int num_queries,
               const int* ids, const uint8_t* tombstones, HammingTopK* tops);

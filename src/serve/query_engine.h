@@ -359,8 +359,8 @@ class QueryEngine {
 
   /// Full-scan stage 3 for a contiguous tile of `count` pre-mapped
   /// fingerprints, scored together: every row block is loaded once and
-  /// XORed against all `count` queries while cache-resident (the
-  /// multi-query kernel path behind QueryBatch and the sharded engine's
+  /// filtered against each of the `count` queries while L1-resident (the
+  /// tiled path behind QueryBatch and the sharded engine's
   /// QueryMappedBatch). results[q] / (*stats)[q] correspond to
   /// fingerprints[q]; each equals QueryMapped(fingerprints[q],
   /// {.k = options.k, .scan_mode = ScanMode::kFull}) bit for bit. Per-query

@@ -1,15 +1,17 @@
 // Differential tests for the SIMD Hamming-scan kernels: every kernel this
 // binary can run on this host must be bit-identical to the scalar baseline —
-// exact integer diffs, for any width (word-multiple or not), any row count
-// (block-multiple or not), any query count (tile-multiple or not), hostile
-// padding words, and empty rows. Kernels the host cannot run are skipped,
-// not failed: the same test binary passes on an AVX-512 box and a plain
-// x86-64 one.
+// exact integer diffs and exactly the same bound-filtered hits, for any
+// width (word-multiple or not), any row count (block-multiple or not),
+// hostile padding words, and empty rows. Kernels the host cannot run are
+// skipped, not failed: the same test binary passes on an AVX-512 box and a
+// plain x86-64 one.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -73,7 +75,10 @@ TEST(ScanKernelTest, RegistryShape) {
 // Single-query blocks: every kernel, every hostile width and row count.
 TEST(ScanKernelTest, HammingBlockMatchesReferenceAcrossShapes) {
   Rng rng(20260807);
-  const int widths[] = {1, 5, 63, 64, 65, 127, 128, 192, 300, 511, 512, 517};
+  // 1, 2 and 4 words take the packed reductions, the rest one accumulator
+  // per row; the row counts leave partial groups of eight for each.
+  const int widths[] = {1,   5,   63,  64,  65,  127, 128,
+                        192, 256, 300, 511, 512, 517};
   const int row_counts[] = {1, 2, 7, 64, 255, 256, 257};
   for (const int num_bits : widths) {
     for (const int num_rows : row_counts) {
@@ -95,33 +100,76 @@ TEST(ScanKernelTest, HammingBlockMatchesReferenceAcrossShapes) {
   }
 }
 
-// Multi-query blocks: query counts straddling every kernel's tile width.
-TEST(ScanKernelTest, HammingBlockMultiMatchesReferenceAcrossTileRemainders) {
-  Rng rng(7);
-  const int num_bits = 300;
-  const int num_rows = 130;
-  for (const ScanKernel* kernel : HostKernels()) {
-    const int tile = kernel->tile_width();
-    ASSERT_GE(tile, 1) << kernel->name();
-    const int query_counts[] = {1,        tile - 1, tile,
-                                tile + 1, 2 * tile, 2 * tile + 3};
-    for (const int num_queries : query_counts) {
-      if (num_queries < 1) continue;
-      const Fixture f = MakeFixture(num_rows, num_bits, num_queries, &rng);
-      const size_t words = f.matrix.words_per_row();
-      std::vector<const uint64_t*> query_ptrs;
-      for (const auto& q : f.queries) query_ptrs.push_back(q.data());
-      std::vector<uint32_t> got(
-          static_cast<size_t>(num_queries) * num_rows, 0xdeadbeef);
-      kernel->HammingBlockMulti(query_ptrs.data(), num_queries,
-                                f.matrix.row(0), words, num_rows, got.data());
-      for (int q = 0; q < num_queries; ++q) {
-        for (int r = 0; r < num_rows; ++r) {
-          EXPECT_EQ(got[static_cast<size_t>(q) * num_rows + r],
-                    ReferenceDiff(query_ptrs[static_cast<size_t>(q)],
-                                  f.matrix.row(r), words))
-              << kernel->name() << " q=" << q << " r=" << r
-              << " nq=" << num_queries;
+/// The (row, distance) pairs of rows[0, num_rows) within max_distance of
+/// the query, sorted — the reference for HammingWithin's hit set.
+using Hits = std::vector<std::pair<int, uint32_t>>;
+
+Hits ReferenceHits(const uint64_t* query, const uint64_t* rows, size_t words,
+                   int num_rows, uint32_t max_distance) {
+  Hits hits;
+  for (int r = 0; r < num_rows; ++r) {
+    const uint32_t d =
+        ReferenceDiff(query, rows + static_cast<size_t>(r) * words, words);
+    if (d <= max_distance) hits.emplace_back(r, d);
+  }
+  return hits;
+}
+
+/// HammingWithin's hits as a sorted set. The outputs are sized to exactly
+/// num_rows, so a kernel writing past them trips the sanitizer builds.
+Hits KernelHits(const ScanKernel& kernel, const uint64_t* query,
+                const uint64_t* rows, size_t words, int num_rows,
+                uint32_t max_distance) {
+  std::vector<int> hit_rows(static_cast<size_t>(num_rows), -1);
+  std::vector<uint32_t> hit_dists(static_cast<size_t>(num_rows));
+  const int count = kernel.HammingWithin(query, rows, words, num_rows,
+                                         max_distance, hit_rows.data(),
+                                         hit_dists.data());
+  EXPECT_GE(count, 0);
+  EXPECT_LE(count, num_rows);
+  Hits hits;
+  for (int i = 0; i < count; ++i) {
+    hits.emplace_back(hit_rows[static_cast<size_t>(i)],
+                      hit_dists[static_cast<size_t>(i)]);
+  }
+  std::sort(hits.begin(), hits.end());
+  return hits;
+}
+
+// The fused filter: exactly the rows within the bound, with their
+// distances, on every kernel — for 1, 2, 3, 4, 5, 8 and 16 words, row counts
+// around a group of eight and a scan block, and bounds that pass nothing
+// but exact matches, about half the rows, every row at the largest
+// distance (a tie at the bound passes), and everything. The rows sit at the
+// end of their allocation, so a read past the last row leaves it.
+TEST(ScanKernelTest, HammingWithinMatchesFilteredReference) {
+  Rng rng(1601);
+  constexpr int kMaxRows = 256;
+  const int widths[] = {1, 64, 65, 128, 192, 256, 300, 512, 1024};
+  const int row_counts[] = {0, 1, 7, 8, 9, 255, 256};
+  for (const int num_bits : widths) {
+    const Fixture f = MakeFixture(kMaxRows, num_bits, 1, &rng);
+    const size_t words = f.matrix.words_per_row();
+    const uint64_t* query = f.queries[0].data();
+    for (const int num_rows : row_counts) {
+      const uint64_t* rows =
+          f.matrix.row(0) + static_cast<size_t>(kMaxRows - num_rows) * words;
+      std::vector<uint32_t> dists;
+      for (int r = 0; r < num_rows; ++r) {
+        dists.push_back(
+            ReferenceDiff(query, rows + static_cast<size_t>(r) * words, words));
+      }
+      std::sort(dists.begin(), dists.end());
+      const uint32_t median = dists.empty() ? 0 : dists[dists.size() / 2];
+      const uint32_t largest = dists.empty() ? 0 : dists.back();
+      for (const uint32_t bound : {0u, median, largest, UINT32_MAX}) {
+        const Hits expected =
+            ReferenceHits(query, rows, words, num_rows, bound);
+        for (const ScanKernel* kernel : HostKernels()) {
+          EXPECT_EQ(KernelHits(*kernel, query, rows, words, num_rows, bound),
+                    expected)
+              << kernel->name() << " p=" << num_bits << " rows=" << num_rows
+              << " bound=" << bound;
         }
       }
     }
@@ -178,11 +226,20 @@ TEST(ScanKernelTest, HostilePaddingIsMaskedBeforeKernelsSeeIt) {
     expected[static_cast<size_t>(r)] =
         ReferenceDiff(query.data(), clean.row(r), words);
   }
+  std::vector<uint32_t> sorted = expected;
+  std::sort(sorted.begin(), sorted.end());
+  const uint32_t median = sorted[sorted.size() / 2];
+  const Hits expected_hits =
+      ReferenceHits(query.data(), clean.row(0), words, num_rows, median);
   for (const ScanKernel* kernel : HostKernels()) {
     std::vector<uint32_t> got(static_cast<size_t>(num_rows));
     kernel->HammingBlock(query.data(), hostile.row(0), words, num_rows,
                          got.data());
     EXPECT_EQ(got, expected) << kernel->name();
+    EXPECT_EQ(KernelHits(*kernel, query.data(), hostile.row(0), words,
+                         num_rows, median),
+              expected_hits)
+        << kernel->name();
   }
 }
 
@@ -203,9 +260,13 @@ TEST(ScanKernelTest, DegenerateShapes) {
     kernel->HammingBlock(f.queries[0].data(), f.matrix.row(0), words, 0,
                          &sentinel);
     EXPECT_EQ(sentinel, 0xdeadbeefu) << kernel->name();  // untouched
-    const uint64_t* queries[] = {f.queries[0].data(), f.queries[1].data()};
-    kernel->HammingBlockMulti(queries, 2, f.matrix.row(0), words, 0,
-                              &sentinel);
+    int hit_sentinel = -7;
+    EXPECT_EQ(kernel->HammingWithin(f.queries[0].data(), f.matrix.row(0),
+                                    words, 0, UINT32_MAX, &hit_sentinel,
+                                    &sentinel),
+              0)
+        << kernel->name();
+    EXPECT_EQ(hit_sentinel, -7) << kernel->name();
     EXPECT_EQ(sentinel, 0xdeadbeefu) << kernel->name();
     std::vector<uint32_t> got(16);
     kernel->HammingBlock(f.queries[0].data(), zeros.row(0), words, 16,

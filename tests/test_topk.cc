@@ -68,55 +68,80 @@ Ranking ReferenceTopK(const std::vector<uint8_t>& query,
 }
 
 // The fused scan-and-select path against the reference for every kernel this
-// host runs: hostile widths (including zero), k from nothing to more than
-// the live rows, a base segment crossing a scan-block boundary plus a delta
-// segment read as one row space, tombstones in both, and all-identical rows
-// whose order rests on the id tie-break alone.
+// host runs, alone and as a 3-query tile: hostile widths (including zero,
+// the packed 2- and 4-word layouts and 1, 3 and 8 words), k from nothing to
+// more than the live rows, a base segment crossing a scan-block boundary
+// plus a delta segment read as one row space, tombstones in both, and
+// all-identical rows whose order rests on the id tie-break alone. Rows are
+// stored in descending id order, so the rows that tie at the kth distance
+// with smaller ids arrive after the selector is full, in later blocks: the
+// kernel filter must pass a row at exactly the bound distance, or those
+// rows are lost. The kTies shape (three distinct rows) puts many rows at
+// every distance.
 TEST(HammingTopKTest, FusedScanMatchesReferenceOnEveryKernel) {
   Rng rng(1301);
   constexpr int kBaseRows = 300;
   constexpr int kDeltaRows = 45;
-  constexpr int kQueries = 3;
-  for (const int p : {0, 1, 63, 64, 65, 128, 256}) {
-    for (const bool identical : {false, true}) {
+  constexpr int kRows = kBaseRows + kDeltaRows;
+  enum class Shape { kRandom, kIdentical, kTies };
+  for (const int p : {0, 1, 63, 64, 65, 128, 192, 256, 512}) {
+    for (const Shape shape :
+         {Shape::kRandom, Shape::kIdentical, Shape::kTies}) {
+      // rows[id] is the row of external id `id`; slot s stores id ids[s].
       std::vector<std::vector<uint8_t>> rows =
-          RandomBitRows(kBaseRows + kDeltaRows, p, 0.4, &rng);
-      if (identical) {
-        for (auto& row : rows) row = rows.front();
+          RandomBitRows(kRows, p, 0.4, &rng);
+      const std::vector<std::vector<uint8_t>> distinct(rows.begin(),
+                                                       rows.begin() + 3);
+      for (auto& row : rows) {
+        if (shape == Shape::kIdentical) row = distinct[0];
+        if (shape == Shape::kTies) row = distinct[rng.UniformU64(3)];
+      }
+      std::vector<int> ids(kRows);
+      std::vector<std::vector<uint8_t>> stored;
+      std::vector<uint8_t> tombstones(kRows, 0);
+      for (int s = 0; s < kRows; ++s) {
+        ids[static_cast<size_t>(s)] = kRows - 1 - s;
+        stored.push_back(rows[static_cast<size_t>(kRows - 1 - s)]);
+        tombstones[static_cast<size_t>(s)] = rng.UniformU64(5) == 0 ? 1 : 0;
+      }
+      tombstones[3] = 1;              // at least one base tombstone
+      tombstones[kBaseRows + 1] = 1;  // and one delta tombstone
+      std::vector<uint8_t> removed(kRows, 0);
+      int live = 0;
+      for (int s = 0; s < kRows; ++s) {
+        removed[static_cast<size_t>(ids[static_cast<size_t>(s)])] =
+            tombstones[static_cast<size_t>(s)];
+        live += tombstones[static_cast<size_t>(s)] == 0 ? 1 : 0;
       }
       const PackedBitMatrix base = PackedBitMatrix::FromRows(
-          {rows.begin(), rows.begin() + kBaseRows}, p);
+          {stored.begin(), stored.begin() + kBaseRows}, p);
       const PackedBitMatrix delta = PackedBitMatrix::FromRows(
-          {rows.begin() + kBaseRows, rows.end()}, p);
-      std::vector<uint8_t> removed(rows.size(), 0);
-      for (auto& r : removed) r = rng.UniformU64(5) == 0 ? 1 : 0;
-      removed[3] = 1;               // at least one base tombstone
-      removed[kBaseRows + 1] = 1;   // and one delta tombstone
-      int live = 0;
-      for (const uint8_t r : removed) live += r == 0 ? 1 : 0;
-      std::vector<int> ids(rows.size());
-      std::iota(ids.begin(), ids.end(), 0);
+          {stored.begin() + kBaseRows, stored.end()}, p);
 
-      const auto queries = RandomBitRows(kQueries, p, 0.4, &rng);
-      std::vector<std::vector<uint64_t>> packed;
-      std::vector<const uint64_t*> query_ptrs;
-      for (const auto& q : queries) packed.push_back(base.PackQuery(q));
-      for (const auto& q : packed) query_ptrs.push_back(q.data());
+      for (const int num_queries : {1, 3}) {
+        const auto queries = RandomBitRows(num_queries, p, 0.4, &rng);
+        std::vector<std::vector<uint64_t>> packed;
+        std::vector<const uint64_t*> query_ptrs;
+        for (const auto& q : queries) packed.push_back(base.PackQuery(q));
+        for (const auto& q : packed) query_ptrs.push_back(q.data());
 
-      for (const ScanKernel* kernel : SupportedScanKernels()) {
-        for (const int k : {0, 1, 10, live + 5}) {
-          std::vector<HammingTopK> tops(kQueries, HammingTopK(k));
-          ScanTopK(*kernel, base, 0, kBaseRows, query_ptrs.data(), kQueries,
-                   ids.data(), removed.data(), tops.data());
-          ScanTopK(*kernel, delta, 0, kDeltaRows, query_ptrs.data(),
-                   kQueries, ids.data() + kBaseRows,
-                   removed.data() + kBaseRows, tops.data());
-          for (int q = 0; q < kQueries; ++q) {
-            EXPECT_EQ(tops[static_cast<size_t>(q)].Take(p),
-                      ReferenceTopK(queries[static_cast<size_t>(q)], rows,
-                                    removed, k))
-                << kernel->name() << " p=" << p << " identical=" << identical
-                << " k=" << k << " q=" << q;
+        for (const ScanKernel* kernel : SupportedScanKernels()) {
+          for (const int k : {0, 1, 10, live + 5}) {
+            std::vector<HammingTopK> tops(static_cast<size_t>(num_queries),
+                                          HammingTopK(k));
+            ScanTopK(*kernel, base, 0, kBaseRows, query_ptrs.data(),
+                     num_queries, ids.data(), tombstones.data(), tops.data());
+            ScanTopK(*kernel, delta, 0, kDeltaRows, query_ptrs.data(),
+                     num_queries, ids.data() + kBaseRows,
+                     tombstones.data() + kBaseRows, tops.data());
+            for (int q = 0; q < num_queries; ++q) {
+              EXPECT_EQ(tops[static_cast<size_t>(q)].Take(p),
+                        ReferenceTopK(queries[static_cast<size_t>(q)], rows,
+                                      removed, k))
+                  << kernel->name() << " p=" << p
+                  << " shape=" << static_cast<int>(shape) << " k=" << k
+                  << " q=" << q << "/" << num_queries;
+            }
           }
         }
       }
