@@ -1,6 +1,7 @@
 // Mutable-engine churn: interleaved insert / remove / query throughput on a
-// QueryEngine under continuous modification, the workload an *online* graph
-// search service actually faces (cf. segment-based mutable vector indexes).
+// one-shard ShardedEngine under continuous modification, the workload an
+// *online* graph search service actually faces (cf. segment-based mutable
+// vector indexes).
 //
 //   bench_churn_workload [--n=10000 --p=256 --rounds=20 --inserts=50
 //                         --removes=50 --queries=10 --k=10 --density=0.3
@@ -27,7 +28,7 @@
 #include "common/sync.h"
 #include "common/timer.h"
 #include "core/index_io.h"
-#include "serve/query_engine.h"
+#include "server/sharded_engine.h"
 
 namespace gdim {
 namespace {
@@ -54,15 +55,15 @@ int Main(int argc, char** argv) {
   const double density = flags.GetDouble("density", 0.3);
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 7)));
 
-  ServeOptions options;
-  options.threads = 1;  // per-op cost, not batch parallelism
-  options.containment_prefilter = flags.GetBool("prefilter", false);
+  ShardedOptions options;
+  options.serve.threads = 1;  // per-op cost, not batch parallelism
+  options.serve.containment_prefilter = flags.GetBool("prefilter", false);
 
   std::printf(
       "churn_workload: n=%d p=%d rounds=%d (+%d/-%d/?%d per round) k=%d "
       "density=%.2f compact-every=%d prefilter=%d\n",
       n, p, rounds, inserts, removes, queries, k, density, compact_every,
-      options.containment_prefilter ? 1 : 0);
+      options.serve.containment_prefilter ? 1 : 0);
 
   PersistedIndex seed_index;
   for (int r = 0; r < p; ++r) {
@@ -80,9 +81,9 @@ int Main(int argc, char** argv) {
     shadow.emplace_back(i, seed_index.db_bits[static_cast<size_t>(i)]);
   }
 
-  Result<QueryEngine> built = QueryEngine::FromIndex(seed_index, options);
+  Result<ShardedEngine> built = ShardedEngine::FromIndex(seed_index, options);
   GDIM_CHECK(built.ok()) << built.status().ToString();
-  QueryEngine engine = std::move(built).value();
+  ShardedEngine engine = std::move(built).value();
   // This single-threaded bench is the engine's writer.
   ScopedRole writer(&engine.writer_role());
 
@@ -150,7 +151,7 @@ int Main(int argc, char** argv) {
     expected_ids.push_back(id);
     equivalent.db_bits.push_back(bits);
   }
-  Result<QueryEngine> fresh = QueryEngine::FromIndex(equivalent, options);
+  Result<ShardedEngine> fresh = ShardedEngine::FromIndex(equivalent, options);
   GDIM_CHECK(fresh.ok()) << fresh.status().ToString();
   GDIM_CHECK(engine.alive_ids() == expected_ids) << "live id set diverged";
   for (int q = 0; q < 20; ++q) {
@@ -181,8 +182,8 @@ int Main(int argc, char** argv) {
   std::printf(
       "# end state: %d live (base %d + delta %d rows, %d tombstoned) "
       "in %.2fs wall; churn gate passed (20 probes)\n",
-      engine.num_graphs(), engine.base_rows(), engine.delta_rows(),
-      engine.tombstoned_rows(), total_s);
+      engine.num_graphs(), engine.shard(0).base_rows(),
+      engine.shard(0).delta_rows(), engine.tombstoned_rows(), total_s);
   std::printf("# sink=%g\n", sink);
   return 0;
 }

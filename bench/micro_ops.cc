@@ -20,7 +20,7 @@
 #include "mcs/dissimilarity.h"
 #include "mcs/mcs.h"
 #include "mining/gspan.h"
-#include "serve/query_engine.h"
+#include "server/sharded_engine.h"
 
 namespace gdim {
 namespace {
@@ -186,13 +186,13 @@ void BM_Delta2Pair(benchmark::State& state) {
 }
 BENCHMARK(BM_Delta2Pair);
 
-// One serving shard of clustered `bits`-wide rows (512 random prototypes
+// A one-shard engine of clustered `bits`-wide rows (512 random prototypes
 // with each bit flipped w.p. 1/8, like the fingerprint serving corpus),
 // sized to 1.6 MB of fingerprint words whatever the width: 100k rows at
 // p=128, 50k at p=256, 12.5k at p=1024. `queries` receives 64 draws from
 // the same prototypes.
-Result<QueryEngine> BuildShard(int bits,
-                               std::vector<std::vector<uint8_t>>* queries) {
+Result<ShardedEngine> BuildShard(int bits,
+                                 std::vector<std::vector<uint8_t>>* queries) {
   const int rows = 100000 * 128 / bits;
   Rng rng(2014);
   std::vector<std::vector<uint8_t>> prototypes(512);
@@ -219,7 +219,7 @@ Result<QueryEngine> BuildShard(int bits,
   }
   queries->assign(64, {});
   for (auto& q : *queries) draw(&q);
-  return QueryEngine::FromPacked(std::move(index));
+  return ShardedEngine::FromPacked(std::move(index));
 }
 
 // Stage 3 of one query on one serving shard of width state.range(0)
@@ -229,7 +229,7 @@ Result<QueryEngine> BuildShard(int bits,
 // rows scored.
 void RunShardTopK(benchmark::State& state, ScanMode mode) {
   std::vector<std::vector<uint8_t>> queries;
-  Result<QueryEngine> engine =
+  Result<ShardedEngine> engine =
       BuildShard(static_cast<int>(state.range(0)), &queries);
   if (!engine.ok()) {
     state.SkipWithError(engine.status().ToString().c_str());
@@ -241,7 +241,7 @@ void RunShardTopK(benchmark::State& state, ScanMode mode) {
   ServeQueryStats stats;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        engine->QueryMapped(queries[qi], options, &stats));
+        engine->shard(0).QueryMapped(queries[qi], options, &stats));
     scanned += stats.scanned;
     qi = (qi + 1) % queries.size();
   }
@@ -270,7 +270,7 @@ BENCHMARK(BM_ShardApproxTopK)
 // loads. Reported per query; items are the rows scored.
 void BM_ShardTileTopK(benchmark::State& state) {
   std::vector<std::vector<uint8_t>> queries;
-  Result<QueryEngine> engine =
+  Result<ShardedEngine> engine =
       BuildShard(static_cast<int>(state.range(0)), &queries);
   if (!engine.ok()) {
     state.SkipWithError(engine.status().ToString().c_str());
@@ -282,8 +282,8 @@ void BM_ShardTileTopK(benchmark::State& state) {
   int64_t scanned = 0;
   std::vector<ServeQueryStats> stats;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        engine->QueryMappedTile(&queries[qi], tile, options, &stats));
+    benchmark::DoNotOptimize(engine->shard(0).QueryMappedTile(
+        &queries[qi], tile, options, &stats));
     scanned += static_cast<int64_t>(stats.front().scanned) * tile;
     qi = (qi + static_cast<size_t>(tile)) % queries.size();
   }

@@ -41,27 +41,4 @@ void ParallelFor(int begin, int end, const std::function<void(int)>& fn,
   for (auto& th : pool) th.join();
 }
 
-void ParallelScatter(int n, const std::function<void(int)>& fn, int threads) {
-  if (n <= 0) return;
-  if (threads <= 0) threads = DefaultThreadCount();
-  threads = std::min(threads, n);
-  if (threads == 1) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::atomic<int> cursor{0};
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&cursor, &fn, n]() {
-      for (;;) {
-        const int i = cursor.fetch_add(1);
-        if (i >= n) return;
-        fn(i);
-      }
-    });
-  }
-  for (auto& th : pool) th.join();
-}
-
 }  // namespace gdim

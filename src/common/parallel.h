@@ -23,15 +23,6 @@ int DefaultThreadCount();
 void ParallelFor(int begin, int end, const std::function<void(int)>& fn,
                  int threads = 0);
 
-/// Runs fn(i) for i in [0, n) with per-item threads and NO serial-fallback
-/// threshold — the scatter primitive for fanning one query out over a
-/// handful of shards, where n is far below ParallelFor's chunking range but
-/// each item is itself a heavy scan. Spawns min(threads, n) threads
-/// (threads == 0 means DefaultThreadCount()); threads == 1 or n == 1 runs
-/// serial. fn must be thread-safe with respect to distinct i.
-void ParallelScatter(int n, const std::function<void(int)>& fn,
-                     int threads = 0);
-
 }  // namespace gdim
 
 #endif  // GDIM_COMMON_PARALLEL_H_

@@ -165,7 +165,7 @@ Status WriteIndexFile(const PersistedIndex& index, const std::string& path,
 /// byte vectors. words_per_row must equal ceil(features.size() / 64); ids
 /// must be strictly ascending with n entries, or empty for positional
 /// (0..n-1); next_id must exceed every id (-1 = derive). Used by
-/// QueryEngine::Snapshot to dump packed segments directly.
+/// ShardedEngine::Snapshot to dump packed segments directly.
 Status WriteIndexFileV2Words(
     const GraphDatabase& features, uint64_t n, uint64_t words_per_row,
     const std::function<const uint64_t*(uint64_t)>& row_words,
@@ -201,7 +201,7 @@ Result<PersistedIndex> ReadIndexFile(const std::string& path);
 /// Reads a persisted index of any format straight into the packed scan
 /// layout. For v2/v3 files the vector block is a single block read into the
 /// matrix storage (padding bits are masked); v1 falls back to the text
-/// parser plus a pack. The load path of QueryEngine::Open; v3 section
+/// parser plus a pack. The load path of ShardedEngine::Open; v3 section
 /// payloads come back in PackedIndex::meta/store/ivf.
 Result<PackedIndex> ReadIndexFilePacked(const std::string& path);
 

@@ -70,7 +70,7 @@ class PackedBitMatrix {
   /// words.size() must equal num_rows * words_per_row. Padding bits beyond
   /// num_bits in each row's last word are masked to zero, so a matrix built
   /// from untrusted words (a v2 snapshot block read) still computes exact
-  /// Hamming distances. The zero-copy load path of QueryEngine::Open.
+  /// Hamming distances. The zero-copy load path of ShardedEngine::Open.
   static PackedBitMatrix FromWords(int num_rows, int num_bits,
                                    std::vector<uint64_t> words);
 

@@ -8,73 +8,22 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "common/timer.h"
 #include "core/binary_db.h"
 #include "core/kernels/scan_kernel.h"
 
 namespace gdim {
 
-Result<QueryEngine> QueryEngine::FromIndex(PersistedIndex index,
-                                           ServeOptions options) {
-  const size_t p = index.features.size();
-  for (size_t i = 0; i < index.db_bits.size(); ++i) {
-    if (index.db_bits[i].size() != p) {
-      return Status::InvalidArgument(
-          "index row " + std::to_string(i) + " has " +
-          std::to_string(index.db_bits[i].size()) + " bits, expected " +
-          std::to_string(p));
-    }
-  }
-  PackedIndex packed;
-  packed.rows =
-      PackedBitMatrix::FromRows(index.db_bits, static_cast<int>(p));
-  packed.features = std::move(index.features);
-  packed.ids = std::move(index.ids);
-  packed.next_id = index.next_id;
-  return FromPacked(std::move(packed), options);
-}
-
-Result<QueryEngine> QueryEngine::FromPacked(PackedIndex index,
-                                            ServeOptions options) {
-  FeatureMapper mapper(std::move(index.features));
-  return FromPacked(std::move(index), std::move(mapper), options);
-}
-
 Result<QueryEngine> QueryEngine::FromPacked(PackedIndex index,
                                             FeatureMapper mapper,
                                             ServeOptions options) {
   const int p = mapper.num_features();
-  if (index.rows.num_bits() != p) {
-    return Status::InvalidArgument(
-        "packed rows are " + std::to_string(index.rows.num_bits()) +
-        " bits wide, feature dimension is " + std::to_string(p));
-  }
   const int n = index.rows.num_rows();
-  if (!index.ids.empty()) {
-    if (index.ids.size() != static_cast<size_t>(n)) {
-      return Status::InvalidArgument("index id count does not match rows");
-    }
-    for (size_t i = 0; i < index.ids.size(); ++i) {
-      if (index.ids[i] < 0 ||
-          (i > 0 && index.ids[i] <= index.ids[i - 1])) {
-        return Status::InvalidArgument("index ids must be strictly ascending");
-      }
-    }
-    // next_id_ = ids.back() + 1 must stay representable.
-    if (index.ids.back() == std::numeric_limits<int>::max()) {
-      return Status::InvalidArgument("index id out of range");
-    }
-  }
-  const int64_t min_next_id = index.ids.empty()
-                                  ? static_cast<int64_t>(n)
-                                  : int64_t{index.ids.back()} + 1;
-  if (index.next_id >= 0 && index.next_id < min_next_id) {
-    return Status::InvalidArgument("index next_id must exceed every id");
-  }
+  GDIM_DCHECK(index.rows.num_bits() == p);
+  GDIM_DCHECK(index.ids.size() == static_cast<size_t>(n));
+  GDIM_DCHECK(index.next_id >= 0);
   // Until the layout below, physical row i is input row i, ascending by id.
-  const auto input_row = [&index, n](int id) {
-    if (index.ids.empty()) return id >= 0 && id < n ? id : -1;
+  const auto input_row = [&index](int id) {
     const auto it = std::lower_bound(index.ids.begin(), index.ids.end(), id);
     return it != index.ids.end() && *it == id
                ? static_cast<int>(it - index.ids.begin())
@@ -147,10 +96,7 @@ Result<QueryEngine> QueryEngine::FromPacked(PackedIndex index,
   engine.delta_ = PackedBitMatrix::WithWidth(p);
   engine.tombstones_.assign(static_cast<size_t>(n), 0);
   engine.alive_ = n;
-  // Resume the persisted id counter when present (so ids of removed graphs
-  // are never re-issued after a reload); otherwise derive it.
-  engine.next_id_ =
-      index.next_id >= 0 ? index.next_id : static_cast<int>(min_next_id);
+  engine.next_id_ = index.next_id;
   // Store the base in bucket order: slot s holds input row order[s], and
   // every bucket becomes one contiguous range. The rows are permuted in
   // place, so the base is never held twice.
@@ -162,7 +108,7 @@ Result<QueryEngine> QueryEngine::FromPacked(PackedIndex index,
   for (int slot = 0; slot < n; ++slot) {
     const int row = order[static_cast<size_t>(slot)];
     engine.row_ids_[static_cast<size_t>(slot)] =
-        index.ids.empty() ? row : index.ids[static_cast<size_t>(row)];
+        index.ids[static_cast<size_t>(row)];
     // Input rows ascend by id, so the by-id order inverts the layout.
     engine.by_id_[static_cast<size_t>(row)] = slot;
   }
@@ -172,41 +118,12 @@ Result<QueryEngine> QueryEngine::FromPacked(PackedIndex index,
   // The inverted lists only serve the prefilter; skip the pass and their
   // memory when it is disabled.
   if (options.containment_prefilter) engine.BuildSupports();
-  if (index.meta.has_value()) {
-    // Resume the persisted mutation epoch so epoch-keyed consumers (the
-    // result cache) never mistake a pre-restart answer for a fresh one.
-    engine.epoch_ = index.meta->epoch;
-  }
   engine.mapper_ = std::move(mapper);
   return engine;
 }
 
-Result<QueryEngine> QueryEngine::Open(const std::string& index_path,
-                                      ServeOptions options) {
-  // The packed reader adopts a v2 snapshot's word block as the base segment
-  // in one block read — cold start never round-trips through byte rows.
-  Result<PackedIndex> index = ReadIndexFilePacked(index_path);
-  if (!index.ok()) return index.status();
-  return FromPacked(std::move(index).value(), options);
-}
-
-void QueryEngine::AdoptGeneration(QueryEngine next) {
-  const uint64_t floor = epoch_ + 1;
-  *this = std::move(next);
-  if (epoch_ < floor) epoch_ = floor;
-}
-
 void QueryEngine::RaiseEpochToAtLeast(uint64_t epoch) {
   if (epoch_ < epoch) epoch_ = epoch;
-}
-
-Result<int> QueryEngine::Insert(const Graph& graph) {
-  return InsertMapped(mapper_.Map(graph));
-}
-
-Result<int> QueryEngine::InsertMapped(
-    const std::vector<uint8_t>& fingerprint) {
-  return InsertMappedWithId(fingerprint, next_id_);
 }
 
 Result<int> QueryEngine::InsertMappedWithId(
@@ -255,13 +172,15 @@ Status QueryEngine::Remove(int id) {
   ++num_tombstones_;
   --alive_;
   if (options_.containment_prefilter) {
-    const std::vector<uint8_t> bits = RowBits(row);
-    for (size_t r = 0; r < bits.size(); ++r) {
-      if (bits[r] == 0) continue;
-      std::vector<int>& list = supports_[r];
-      const auto it = std::lower_bound(list.begin(), list.end(), row);
-      GDIM_DCHECK(it != list.end() && *it == row);
-      list.erase(it);
+    const uint64_t* row_words = RowWords(row);
+    for (size_t w = 0; w < words_per_row(); ++w) {
+      for (uint64_t bits = row_words[w]; bits != 0; bits &= bits - 1) {
+        std::vector<int>& list =
+            supports_[w * 64 + static_cast<size_t>(std::countr_zero(bits))];
+        const auto it = std::lower_bound(list.begin(), list.end(), row);
+        GDIM_DCHECK(it != list.end() && *it == row);
+        list.erase(it);
+      }
     }
   }
   ++epoch_;
@@ -336,20 +255,6 @@ std::vector<int> QueryEngine::alive_ids() const {
   return ids;
 }
 
-PersistedIndex QueryEngine::ToPersistedIndex() const {
-  PersistedIndex index;
-  index.features = mapper_.features();
-  index.db_bits.reserve(static_cast<size_t>(alive_));
-  for (const int row : by_id_) {
-    if (tombstones_[static_cast<size_t>(row)] == 0) {
-      index.db_bits.push_back(RowBits(row));
-    }
-  }
-  index.ids = alive_ids();
-  index.next_id = next_id_;
-  return index;
-}
-
 std::vector<std::pair<int, const uint64_t*>> QueryEngine::LiveRowWords()
     const {
   std::vector<std::pair<int, const uint64_t*>> live;
@@ -416,39 +321,6 @@ PersistedIvf PersistIvf(const IvfIndex& ivf,
   return persisted;
 }
 
-Status QueryEngine::Snapshot(const std::string& path,
-                             IndexFormat format) const {
-  if (format == IndexFormat::kV2Binary) {
-    // Stream the live rows' packed words straight from the segments — no
-    // per-row byte materialization, no unpack/repack round trip.
-    const std::vector<std::pair<int, const uint64_t*>> live = LiveRowWords();
-    return WriteIndexFileV2Words(
-        mapper_.features(), static_cast<uint64_t>(live.size()),
-        static_cast<uint64_t>(base_->words_per_row()),
-        [&](uint64_t i) { return live[i].second; }, alive_ids(), next_id_,
-        path);
-  }
-  if (format == IndexFormat::kV3Sectioned) {
-    // The single-engine v3 snapshot carries DIMS + META + IVFX. The engine
-    // tracks no reindex generation of its own (that is ShardedEngine state),
-    // so META records generation 0 alongside the mutation epoch.
-    const std::vector<std::pair<int, const uint64_t*>> live = LiveRowWords();
-    const PersistedIvf ivf = PersistIvf(ivf_, tombstones_, row_ids_);
-    PersistedMeta meta;
-    meta.generation = 0;
-    meta.epoch = epoch_;
-    V3Sections sections;
-    sections.meta = &meta;
-    sections.ivf = &ivf;
-    return WriteIndexFileV3Words(
-        mapper_.features(), static_cast<uint64_t>(live.size()),
-        static_cast<uint64_t>(base_->words_per_row()),
-        [&](uint64_t i) { return live[i].second; }, alive_ids(), next_id_,
-        sections, path);
-  }
-  return WriteIndexFile(ToPersistedIndex(), path, format);
-}
-
 int QueryEngine::FindLiveRow(int id) const {
   const auto it = std::lower_bound(
       by_id_.begin(), by_id_.end(), id, [this](int row, int wanted) {
@@ -460,39 +332,9 @@ int QueryEngine::FindLiveRow(int id) const {
   return tombstones_[static_cast<size_t>(*it)] == 0 ? *it : -1;
 }
 
-std::vector<uint8_t> QueryEngine::RowBits(int row) const {
-  return row < base_->num_rows()
-             ? base_->UnpackRow(row)
-             : delta_.UnpackRow(row - base_->num_rows());
-}
-
 std::vector<int> QueryEngine::PrefilterCandidateRows(
     const std::vector<uint8_t>& fingerprint) const {
   GDIM_DCHECK(options_.containment_prefilter);
-  return PrefilterCandidates(fingerprint);
-}
-
-Ranking QueryEngine::QueryMappedCandidates(
-    const std::vector<uint8_t>& fingerprint, const QueryOptions& options,
-    const std::vector<int>& candidate_rows, ServeQueryStats* stats) const {
-  WallTimer timer;
-  const std::vector<uint64_t> packed_query = base_->PackQuery(fingerprint);
-  HammingTopK top(options.k);
-  OfferRows(packed_query.data(), candidate_rows, &top);
-  Ranking ranking = top.Take(num_features());
-  if (stats != nullptr) {
-    stats->latency_ms = timer.Millis();
-    int features_on = 0;
-    for (uint8_t b : fingerprint) features_on += b != 0 ? 1 : 0;
-    stats->features_on = features_on;
-    stats->scanned = static_cast<int>(candidate_rows.size());
-    stats->prefiltered = true;
-  }
-  return ranking;
-}
-
-std::vector<int> QueryEngine::PrefilterCandidates(
-    const std::vector<uint8_t>& fingerprint) const {
   // Collect the inverted lists of the set bits, smallest support first so
   // the running intersection shrinks as fast as possible.
   std::vector<const std::vector<int>*> lists;
@@ -502,127 +344,39 @@ std::vector<int> QueryEngine::PrefilterCandidates(
   return IntersectSupports(std::move(lists));
 }
 
-void QueryEngine::OfferRows(const uint64_t* query,
-                            const std::vector<int>& rows,
-                            HammingTopK* top) const {
-  const size_t words = words_per_row();
-  for (const int row : rows) {
-    top->Offer(HammingWords(query, RowWords(row), words),
-               row_ids_[static_cast<size_t>(row)],
-               &tombstones_[static_cast<size_t>(row)]);
-  }
-}
-
-void QueryEngine::OfferAllRows(const uint64_t* const* queries, int count,
-                               HammingTopK* tops) const {
+void QueryEngine::Score(const uint64_t* const* queries, int count,
+                        const std::vector<RowRange>& ranges,
+                        const std::vector<int>& rows,
+                        HammingTopK* tops) const {
   const ScanKernel& kernel = ActiveScanKernel();
   const int base_n = base_->num_rows();
-  ScanTopK(kernel, *base_, 0, base_n, queries, count, row_ids_.data(),
-           tombstones_.data(), tops);
-  ScanTopK(kernel, delta_, 0, delta_.num_rows(), queries, count,
-           row_ids_.data() + base_n, tombstones_.data() + base_n, tops);
-}
-
-Ranking QueryEngine::Query(const Graph& query, const QueryOptions& options,
-                           ServeQueryStats* stats) const {
-  WallTimer timer;
-  // Stage 1: fingerprint the query onto the selected dimension, then hand
-  // the mapped vector to the scan stages.
-  Ranking top = QueryMapped(mapper_.Map(query), options, stats);
-  // The mapped path timed only stages 2–3; charge the VF2 mapping too.
-  if (stats != nullptr) stats->latency_ms = timer.Millis();
-  return top;
+  for (const RowRange& range : ranges) {
+    if (range.begin < base_n) {
+      ScanTopK(kernel, *base_, range.begin, range.end, queries, count,
+               row_ids_.data(), tombstones_.data(), tops);
+    } else {
+      ScanTopK(kernel, delta_, range.begin - base_n, range.end - base_n,
+               queries, count, row_ids_.data() + base_n,
+               tombstones_.data() + base_n, tops);
+    }
+  }
+  const size_t words = words_per_row();
+  for (int q = 0; q < count; ++q) {
+    for (const int row : rows) {
+      tops[q].Offer(HammingWords(queries[q], RowWords(row), words),
+                    row_ids_[static_cast<size_t>(row)],
+                    &tombstones_[static_cast<size_t>(row)]);
+    }
+  }
 }
 
 Ranking QueryEngine::QueryMapped(const std::vector<uint8_t>& fingerprint,
                                  const QueryOptions& options,
                                  ServeQueryStats* stats) const {
-  // A malformed k must not abort the serving process; k < 0 answers like
-  // k == 0 (empty ranking). The tool boundary additionally rejects it.
-  const int k = std::max(options.k, 0);
-  WallTimer timer;
-
-  int features_on = 0;
-  for (uint8_t b : fingerprint) features_on += b != 0 ? 1 : 0;
-  const std::vector<uint64_t> packed_query = base_->PackQuery(fingerprint);
-
-  // Stage 2: optional containment prefilter over the inverted lists.
-  bool prefiltered = false;
-  std::vector<int> candidates;
-  if (options.scan_mode == ScanMode::kAuto &&
-      options_.containment_prefilter && features_on > 0) {
-    candidates = PrefilterCandidates(fingerprint);
-    // Take the narrowed path only when it actually narrows: some candidate
-    // survived (an empty intersection is a degenerate "scan of zero rows",
-    // not a narrowed scan — the documented fallback applies, also at
-    // k == 0), enough candidates to answer, and fewer than a full scan of
-    // the live rows would touch.
-    prefiltered = !candidates.empty() &&
-                  static_cast<int>(candidates.size()) >= k &&
-                  static_cast<int>(candidates.size()) < alive_;
-  }
-
-  // Stage 3: popcount distance scan of one candidate source — the narrowed
-  // candidates, the probed IVF buckets, or every physical row — into the
-  // fused integer top-k selector, which keys on (distance, external id):
-  // the score-then-id order, wherever a row is stored.
-  //
-  // Approximate stage 2 (MODE=approx) scans the nprobe nearest centroid
-  // buckets: each bucket's contiguous base range in kernel block passes,
-  // then its few appended rows one by one. The answer differs from kFull
-  // only by rows the probe pruned — at NPROBE=all every physical row is
-  // offered and the ranking is bit-identical to a full scan.
-  const bool approx = options.scan_mode == ScanMode::kApprox;
-  double ivf_probe_usec = 0.0;
-  HammingTopK top(k);
-  int scanned;
-  if (prefiltered) {
-    OfferRows(packed_query.data(), candidates, &top);
-    scanned = static_cast<int>(candidates.size());
-  } else if (approx) {
-    const int nprobe =
-        options.nprobe > 0 ? options.nprobe : ivf_.default_nprobe();
-    WallTimer probe_timer;
-    const std::vector<int> buckets =
-        ivf_.NearestBuckets(packed_query.data(), nprobe);
-    ivf_probe_usec = probe_timer.Micros();
-    const ScanKernel& kernel = ActiveScanKernel();
-    const uint64_t* queries[] = {packed_query.data()};
-    scanned = 0;
-    // Buckets arrive in slot order, so the ranges are read front to back.
-    for (const int b : buckets) {
-      const IvfBucket& bucket = ivf_.posting(b);
-      ScanTopK(kernel, *base_, bucket.begin, bucket.end, queries, 1,
-               row_ids_.data(), tombstones_.data(), &top);
-      OfferRows(packed_query.data(), bucket.appended, &top);
-      scanned += static_cast<int>(bucket.size());
-      // Buckets keep removed rows until Compact; the scan count reports
-      // live rows only, so count the dead ones aside.
-      if (num_tombstones_ > 0) {
-        for (int row = bucket.begin; row < bucket.end; ++row) {
-          scanned -= tombstones_[static_cast<size_t>(row)];
-        }
-        for (const int row : bucket.appended) {
-          scanned -= tombstones_[static_cast<size_t>(row)];
-        }
-      }
-    }
-  } else {
-    const uint64_t* queries[] = {packed_query.data()};
-    OfferAllRows(queries, 1, &top);
-    scanned = total_rows();
-  }
-  Ranking ranking = top.Take(num_features());
-
-  if (stats != nullptr) {
-    stats->latency_ms = timer.Millis();
-    stats->features_on = features_on;
-    stats->scanned = scanned;
-    stats->prefiltered = prefiltered;
-    stats->approx = approx;
-    stats->rows_pruned = approx ? alive_ - scanned : 0;
-    stats->ivf_probe_usec = ivf_probe_usec;
-  }
+  std::vector<ServeQueryStats> tile_stats;
+  Ranking ranking = std::move(QueryMappedTile(
+      &fingerprint, 1, options, stats != nullptr ? &tile_stats : nullptr)[0]);
+  if (stats != nullptr) *stats = std::move(tile_stats[0]);
   return ranking;
 }
 
@@ -667,101 +421,99 @@ void FillServeBatchReport(double wall_ms,
 
 std::vector<Ranking> QueryEngine::QueryMappedTile(
     const std::vector<uint8_t>* fingerprints, int count,
-    const QueryOptions& options, std::vector<ServeQueryStats>* stats) const {
+    const QueryOptions& options, std::vector<ServeQueryStats>* stats,
+    const std::vector<int>* const* candidates) const {
+  // A malformed k must not abort the serving process; k < 0 answers like
+  // k == 0 (empty ranking). The tool boundary additionally rejects it.
   const int k = std::max(options.k, 0);
   WallTimer timer;
-  std::vector<Ranking> results(static_cast<size_t>(std::max(count, 0)));
-  if (stats != nullptr) {
-    stats->assign(static_cast<size_t>(std::max(count, 0)),
-                  ServeQueryStats{});
-  }
-  if (count <= 0) return results;
+  const size_t n = static_cast<size_t>(std::max(count, 0));
+  std::vector<Ranking> results(n);
+  std::vector<ServeQueryStats> tile_stats(n);
+  std::vector<std::vector<uint64_t>> packed(n);
+  for (size_t q = 0; q < n; ++q) packed[q] = base_->PackQuery(fingerprints[q]);
 
-  const int total = total_rows();
-  std::vector<std::vector<uint64_t>> packed(static_cast<size_t>(count));
-  std::vector<const uint64_t*> query_ptrs(static_cast<size_t>(count));
-  for (int q = 0; q < count; ++q) {
-    packed[static_cast<size_t>(q)] =
-        base_->PackQuery(fingerprints[q]);
-    query_ptrs[static_cast<size_t>(q)] =
-        packed[static_cast<size_t>(q)].data();
+  // Stage 3 over each query's candidate source. Narrowed and probed
+  // queries each get their own pass; the rest share full passes below.
+  const bool approx = options.scan_mode == ScanMode::kApprox;
+  std::vector<const uint64_t*> shared_queries;
+  std::vector<size_t> shared;
+  for (size_t q = 0; q < n; ++q) {
+    const uint64_t* query = packed[q].data();
+    ServeQueryStats& s = tile_stats[q];
+    const std::vector<int>* narrowed =
+        candidates != nullptr ? candidates[q] : nullptr;
+    if (narrowed == nullptr && !approx) {
+      shared_queries.push_back(query);
+      shared.push_back(q);
+      continue;
+    }
+    HammingTopK top(k);
+    if (narrowed != nullptr) {
+      Score(&query, 1, {}, *narrowed, &top);
+      s.scanned = static_cast<int>(narrowed->size());
+      s.prefiltered = true;
+    } else {
+      // Scan the nprobe nearest centroid buckets: each bucket's contiguous
+      // base range in kernel block passes, then its few appended rows. The
+      // answer differs from a full scan only by rows the probe pruned — at
+      // NPROBE=all every physical row is offered and the ranking is
+      // bit-identical to a full scan.
+      const int nprobe =
+          options.nprobe > 0 ? options.nprobe : ivf_.default_nprobe();
+      WallTimer probe_timer;
+      const std::vector<int> buckets = ivf_.NearestBuckets(query, nprobe);
+      s.ivf_probe_usec = probe_timer.Micros();
+      std::vector<RowRange> ranges;
+      std::vector<int> appended;
+      ranges.reserve(buckets.size());
+      // Buckets arrive in slot order, so the ranges are read front to back.
+      for (const int b : buckets) {
+        const IvfBucket& bucket = ivf_.posting(b);
+        ranges.push_back({bucket.begin, bucket.end});
+        appended.insert(appended.end(), bucket.appended.begin(),
+                        bucket.appended.end());
+        s.scanned += static_cast<int>(bucket.size());
+        // Buckets keep removed rows until Compact; the scan count reports
+        // live rows only, so count the dead ones aside.
+        if (num_tombstones_ > 0) {
+          for (int row = bucket.begin; row < bucket.end; ++row) {
+            s.scanned -= tombstones_[static_cast<size_t>(row)];
+          }
+          for (const int row : bucket.appended) {
+            s.scanned -= tombstones_[static_cast<size_t>(row)];
+          }
+        }
+      }
+      Score(&query, 1, ranges, appended, &top);
+      s.approx = true;
+      s.rows_pruned = alive_ - s.scanned;
+    }
+    results[q] = top.Take(num_features());
   }
-  // One selector per query, fed by the same row-block passes.
-  std::vector<HammingTopK> tops(static_cast<size_t>(count), HammingTopK(k));
-  OfferAllRows(query_ptrs.data(), count, tops.data());
-  for (int q = 0; q < count; ++q) {
-    results[static_cast<size_t>(q)] =
-        tops[static_cast<size_t>(q)].Take(num_features());
+  if (!shared.empty()) {
+    // Every physical row, base then delta, one selector per query fed by
+    // the same row-block passes.
+    std::vector<HammingTopK> tops(shared.size(), HammingTopK(k));
+    Score(shared_queries.data(), static_cast<int>(shared.size()),
+          {{0, base_->num_rows()}, {base_->num_rows(), total_rows()}}, {},
+          tops.data());
+    for (size_t j = 0; j < shared.size(); ++j) {
+      results[shared[j]] = tops[j].Take(num_features());
+      tile_stats[shared[j]].scanned = total_rows();
+    }
   }
 
   if (stats != nullptr) {
     const double tile_ms = timer.Millis();
-    for (int q = 0; q < count; ++q) {
-      ServeQueryStats& s = (*stats)[static_cast<size_t>(q)];
-      s.latency_ms = tile_ms;
-      int features_on = 0;
-      for (uint8_t b : fingerprints[q]) features_on += b != 0 ? 1 : 0;
-      s.features_on = features_on;
-      s.scanned = total;
-      s.prefiltered = false;
+    for (size_t q = 0; q < n; ++q) {
+      tile_stats[q].latency_ms = tile_ms;
+      tile_stats[q].features_on = static_cast<int>(std::count_if(
+          fingerprints[q].begin(), fingerprints[q].end(),
+          [](uint8_t b) { return b != 0; }));
     }
+    *stats = std::move(tile_stats);
   }
-  return results;
-}
-
-std::vector<Ranking> QueryEngine::QueryBatch(
-    const GraphDatabase& queries, const QueryOptions& options,
-    ServeBatchReport* report,
-    std::vector<ServeQueryStats>* per_query) const {
-  WallTimer batch_timer;
-  const int n = static_cast<int>(queries.size());
-  std::vector<Ranking> results(queries.size());
-  std::vector<ServeQueryStats> stats(queries.size());
-  // Stage 1 for the whole batch in one parallel pass; the scans below then
-  // touch packed words only.
-  const std::vector<std::vector<uint8_t>> fingerprints =
-      mapper_.MapAll(queries, options_.threads);
-  if (options.scan_mode == ScanMode::kApprox ||
-      (options.scan_mode == ScanMode::kAuto &&
-       options_.containment_prefilter)) {
-    // The stage-2 decision (prefilter intersection or IVF probe) yields a
-    // per-query candidate pool, so the batch cannot share row passes; keep
-    // the per-query path.
-    ParallelFor(
-        0, n,
-        [&](int i) {
-          results[static_cast<size_t>(i)] =
-              QueryMapped(fingerprints[static_cast<size_t>(i)], options,
-                          &stats[static_cast<size_t>(i)]);
-        },
-        options_.threads);
-  } else {
-    // Block-tiled multi-query scan: tiles of tile_width() queries share
-    // every row-block pass. Tile boundaries never affect results — scores
-    // are bit-identical for every kernel and tile split.
-    const int tile = ActiveScanKernel().tile_width();
-    const int num_tiles = (n + tile - 1) / tile;
-    ParallelFor(
-        0, num_tiles,
-        [&](int t) {
-          const int begin = t * tile;
-          const int count = std::min(tile, n - begin);
-          std::vector<ServeQueryStats> tile_stats;
-          std::vector<Ranking> tile_results = QueryMappedTile(
-              fingerprints.data() + begin, count, options, &tile_stats);
-          for (int j = 0; j < count; ++j) {
-            results[static_cast<size_t>(begin + j)] =
-                std::move(tile_results[static_cast<size_t>(j)]);
-            stats[static_cast<size_t>(begin + j)] =
-                tile_stats[static_cast<size_t>(j)];
-          }
-        },
-        options_.threads);
-  }
-  const double wall_ms = batch_timer.Millis();
-
-  if (report != nullptr) FillServeBatchReport(wall_ms, stats, report);
-  if (per_query != nullptr) *per_query = std::move(stats);
   return results;
 }
 

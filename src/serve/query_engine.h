@@ -22,9 +22,11 @@ namespace gdim {
 
 /// Engine-wide serving knobs, fixed at load time.
 struct ServeOptions {
-  /// Worker threads for QueryBatch; 0 = DefaultThreadCount(). Results are
-  /// identical for every thread count (queries are independent and the
-  /// per-query ranking uses the deterministic score-then-id order).
+  /// Worker threads of the owning ShardedEngine's batches (and of its
+  /// MapAll): tiles of queries run in parallel, the shards one after
+  /// another inside a tile; 0 = DefaultThreadCount(). Results are identical
+  /// for every thread count (queries are independent and the per-query
+  /// ranking uses the deterministic score-then-id order).
   int threads = 0;
 
   /// Stage-2 prefilter: restrict the distance scan to database graphs that
@@ -61,14 +63,14 @@ struct ServeQueryStats {
   /// probes (like `scanned`) and gather_usec times the k-way merge.
   double ivf_probe_usec = 0.0;
   double gather_usec = 0.0;
-  /// One sample per per-shard scan pass this query rode (the shard's wall
-  /// time for its stage 2–3 work). Filled only by the sharded engine — a
-  /// tiled scan attributes its per-shard passes to the tile's first query,
-  /// so the sample count matches the passes actually run.
+  /// One sample per per-shard pass over the query's tile (the shard's wall
+  /// time for its stage 2–3 work on the whole tile). Filled only by the
+  /// sharded engine, which attributes a tile's passes to the tile's first
+  /// query, so the sample count matches the passes actually run.
   std::vector<double> shard_scan_usec;
 };
 
-/// Aggregate report for one QueryBatch call.
+/// Aggregate report for one ShardedEngine batch call.
 struct ServeBatchReport {
   double wall_ms = 0.0;          ///< end-to-end batch wall time
   double qps = 0.0;              ///< queries / wall second
@@ -89,8 +91,8 @@ struct ServeBatchReport {
 };
 
 /// Aggregates per-query stats into a batch report (qps, latency
-/// percentiles, scan counters). Shared by every batch entry point — the
-/// engine's own, the sharded engine's, and the batch executor's.
+/// percentiles, scan counters). Shared by the sharded engine's batch entry
+/// points and the batch executor.
 void FillServeBatchReport(double wall_ms,
                           const std::vector<ServeQueryStats>& stats,
                           ServeBatchReport* report);
@@ -130,81 +132,52 @@ PersistedIvf PersistIvf(const IvfIndex& ivf,
                         const std::vector<uint8_t>& tombstones,
                         const std::vector<int>& row_ids);
 
-/// The online query-serving engine: loads a built index (feature dimension +
-/// mapped database vectors), converts the vectors into the packed word
-/// layout, and answers batched top-k queries through a three-stage hot path —
-///   1. fingerprint the query onto the selected dimension (VF2 matching),
-///   2. optionally prefilter candidates via the feature inverted lists,
-///   3. popcount scan with fused integer top-k over one candidate source
-///      (all rows, the probed IVF buckets, or the prefilter candidates):
-///      rows are selected on their integer Hamming distance, and scores are
-///      computed for the k survivors only.
-/// No MCS computation and no graph algorithm other than stage 1 runs at
-/// query time, which is the paper's whole online-search proposition.
+/// One shard of the serving engine: a partition of the mapped database in
+/// the packed word layout, answering stages 2–3 of the online search for
+/// fingerprints its owner already mapped (stage 1, VF2, runs once per query
+/// in ShardedEngine). Every candidate source — all rows, the probed IVF
+/// buckets, or owner-supplied containment candidates — goes through one
+/// popcount scorer with fused integer top-k: rows are selected on their
+/// integer Hamming distance, and scores are computed for the k survivors
+/// only. No MCS computation and no graph algorithm runs here, which is the
+/// paper's whole online-search proposition.
 ///
-/// The engine is *mutable*: the database is a sealed base segment plus an
+/// ShardedEngine is the serving surface: it validates ids, builds its
+/// shards, decides each query's stage-2 policy, merges the shards' answers,
+/// and writes snapshots; shard() exposes a shard for observability.
+///
+/// The shard is *mutable*: the database is a sealed base segment plus an
 /// append-only delta segment of packed rows, with a tombstone bitset over
 /// both. The base stores its rows in IVF bucket order — each bucket one
 /// contiguous slot range — so MODE=approx scans a probed bucket with the
-/// same block passes as a full scan. Insert appends to the delta (and to
-/// its bucket's append list), Remove tombstones, and Compact rewrites the
-/// live rows into a fresh sealed base, laid out by bucket again. Every
-/// graph keeps a stable external id for its whole lifetime — ids survive
-/// removals of other graphs and any number of compactions — and after any
-/// mutation sequence full-scan Query/QueryBatch results are bit-identical
-/// to a fresh engine built over the equivalent database (same live
-/// fingerprints in id order), because selection keys on (distance, id),
-/// never on where a row is stored.
+/// same block passes as a full scan. InsertMappedWithId appends to the
+/// delta (and to its bucket's append list), Remove tombstones, and Compact
+/// rewrites the live rows into a fresh sealed base, laid out by bucket
+/// again. Every row keeps its owner-assigned external id for its whole
+/// lifetime, and selection keys on (distance, id), never on where a row is
+/// stored, so answers do not depend on the mutation history that produced
+/// a live set.
 ///
-/// Mutations are not thread-safe: callers must not run Insert/Remove/Compact
+/// Mutations are not thread-safe: callers must not run mutations
 /// concurrently with each other or with queries. The contract is
 /// compiler-checked: every mutating method (and Freeze, which reads state a
-/// mutation invalidates) REQUIRES writer_role() — the single writer
-/// acquires the role once (the BatchExecutor's dispatcher thread does; a
-/// single-threaded test scope uses ScopedRole) and Clang's thread-safety
-/// analysis rejects any call path that never claimed it.
+/// mutation invalidates) REQUIRES writer_role(), which the owner asserts
+/// under its own role.
 class QueryEngine {
  public:
-  /// Builds the serving structures from an in-memory persisted index.
-  /// Validates vector shape; the index is consumed. Row i keeps the
-  /// persisted external id index.ids[i] (v2 snapshots carry them), or gets
-  /// id i when the index has no id block (v1 files, fresh builds).
-  static Result<QueryEngine> FromIndex(PersistedIndex index,
-                                       ServeOptions options = {});
-
-  /// Builds from an index already in the packed scan layout: the matrix is
-  /// adopted as the sealed base segment with no unpack/repack round trip.
-  /// The startup path for v2/v3 snapshots (ReadIndexFilePacked), where
-  /// loading a database is a block read into this exact layout. When the
-  /// index carries a persisted IVF section its buckets are adopted instead
-  /// of re-clustered — postings arrive in external-id space, so the engine
-  /// keeps exactly the buckets holding ids it owns (any shard partition of
-  /// a snapshot works) after validating they cover its rows exactly once.
-  /// Either way the adopted matrix is then permuted in place into bucket
-  /// order — the base segment's layout.
-  static Result<QueryEngine> FromPacked(PackedIndex index,
-                                        ServeOptions options = {});
-
-  /// FromPacked with an already-built mapper for the index's dimension:
-  /// the mapper's prepared state is shared, not rebuilt. The dimension
-  /// comes from the mapper; index.features is not read.
+  /// The owner's shard constructor (ShardedEngine::FromPacked calls it)
+  /// over an index already in the packed scan layout: the matrix is adopted
+  /// as the sealed base segment, then permuted in place into bucket order.
+  /// The caller has validated the width, the ids (one per row, strictly
+  /// ascending) and next_id (>= 0, beyond every id); they are not checked
+  /// again here. When the index carries a persisted IVF section its
+  /// buckets are adopted instead of re-clustered — postings arrive in
+  /// external-id space, so the shard keeps exactly the buckets holding ids
+  /// it owns, after validating they cover its rows exactly once. The
+  /// dimension comes from the mapper; index.features is not read.
   static Result<QueryEngine> FromPacked(PackedIndex index,
                                         FeatureMapper mapper,
-                                        ServeOptions options = {});
-
-  /// Loads the index file at path (core/index_io, v1 text or v2 binary)
-  /// and builds; v2 files load through the direct packed-words path.
-  static Result<QueryEngine> Open(const std::string& index_path,
-                                  ServeOptions options = {});
-
-  /// Installs `next` — a freshly built engine over a new dimension
-  /// generation — into *this, with epoch continuity: the adopted epoch is
-  /// strictly greater than this engine's current epoch, so epoch-keyed
-  /// consumers (the result cache) can never replay an answer across the
-  /// generation boundary even though every other piece of state (mapper,
-  /// segments, ids) is replaced wholesale. Single-writer contract: must not
-  /// run concurrently with queries or mutations, like every mutation.
-  void AdoptGeneration(QueryEngine next) GDIM_REQUIRES(writer_role_);
+                                        ServeOptions options);
 
   /// Generation-swap hook for a sharded owner whose epoch is a sum over
   /// shards: lifts this engine's epoch to at least `epoch`. Monotonic
@@ -222,7 +195,7 @@ class QueryEngine {
   int num_graphs() const { return alive_; }
   int num_features() const { return mapper_.num_features(); }
 
-  /// Monotonic mutation epoch: bumped by every successful Insert/Remove and
+  /// Monotonic mutation epoch: bumped by every successful insert/Remove and
   /// by every Compact that does work. Two queries issued at the same epoch
   /// are guaranteed bit-identical answers (the epoch is what makes cached
   /// results safe to replay); queries never bump it. A bump does not imply
@@ -230,7 +203,7 @@ class QueryEngine {
   /// answer but still bumps, erring on the safe side.
   uint64_t epoch() const { return epoch_; }
   const ServeOptions& options() const { return options_; }
-  /// The stage-1 fingerprinting mapper (callers of QueryMapped share it).
+  /// The stage-1 mapper, shared with the owner (prepared state is shared).
   const FeatureMapper& mapper() const { return mapper_; }
 
   /// Physical layout observability: sealed base rows, appended delta rows,
@@ -245,21 +218,10 @@ class QueryEngine {
   /// The index itself, for tests and invariant checks.
   const IvfIndex& ivf_index() const { return ivf_; }
 
-  /// Inserts a graph: fingerprints it with the engine's dimension (VF2) and
-  /// appends the mapped row to the delta segment. Returns the new stable
-  /// external id.
-  Result<int> Insert(const Graph& graph) GDIM_REQUIRES(writer_role_);
-
-  /// Insert for callers that already hold the mapped fingerprint (bulk
-  /// loads, replication, benchmarks); width must equal num_features().
-  Result<int> InsertMapped(const std::vector<uint8_t>& fingerprint)
-      GDIM_REQUIRES(writer_role_);
-
-  /// InsertMapped with a caller-assigned external id, for an owner of a
-  /// global id sequence (the sharded engine routes ids across shards, so a
-  /// single shard sees gaps). id must be >= the id this engine would assign
-  /// next — per-engine ids stay strictly ascending — and the engine's id
-  /// counter advances to id + 1.
+  /// Appends a mapped row under the owner-assigned external id. id must be
+  /// >= the id this engine would assign next — per-engine ids stay strictly
+  /// ascending — and the engine's id counter advances to id + 1; width must
+  /// equal num_features().
   Result<int> InsertMappedWithId(const std::vector<uint8_t>& fingerprint,
                                  int id) GDIM_REQUIRES(writer_role_);
 
@@ -294,84 +256,47 @@ class QueryEngine {
   /// capture must be ordered against writers, so it REQUIRES the role.
   FrozenEngineState Freeze() const GDIM_REQUIRES(writer_role_);
 
-  /// The equivalent database of the current live state: the feature
-  /// dimension plus the live fingerprints and their external ids in
-  /// ascending-id order. A fresh engine built from this index answers
-  /// queries bit-identically, with the same external ids.
-  PersistedIndex ToPersistedIndex() const;
+  /// Stage 2 for the owner: the live physical rows surviving ∩ sup(f_r)
+  /// over the fingerprint's set bits (ascending). Requires the containment
+  /// prefilter to be enabled and at least one set bit (the intersection
+  /// over an empty feature family is degenerate). The owner collects these
+  /// from every shard, decides narrowed-vs-full over global counts, and
+  /// hands the narrowed ones back through QueryMappedTile.
+  std::vector<int> PrefilterCandidateRows(
+      const std::vector<uint8_t>& fingerprint) const;
 
-  /// Writes the live state to path; v2 binary by default, streaming the
-  /// packed words straight from the segments (no byte materialization) and
-  /// persisting external ids, so a reloaded engine keeps serving the same
-  /// ids. v1 text cannot carry ids and renumbers rows positionally. v3
-  /// additionally persists the IVF layout and the epoch (a reload adopts
-  /// both; generation is a sharded-owner concept and is written as 0 here —
-  /// ShardedEngine::WriteSnapshot is the serving snapshot path).
-  Status Snapshot(const std::string& path,
-                  IndexFormat format = IndexFormat::kV2Binary) const;
-
-  /// Top-k ids + normalized mapped distances for one query, ascending
-  /// score with id tie-break (identical order to TopK(MappedRanking(...))
-  /// over the live rows). All per-query knobs (k, scan mode) travel in
-  /// `options`: engine.Query(q, {.k = 10}).
-  Ranking Query(const Graph& query, const QueryOptions& options,
-                ServeQueryStats* stats = nullptr) const;
-
-  /// Stages 2–3 for a caller that already holds the mapped fingerprint:
-  /// the scatter path of a sharded engine fingerprints a query once (VF2 is
-  /// the expensive stage) and fans the mapped vector out to every shard.
-  /// Width must equal num_features(). With kAuto, identical to Query() on
-  /// a graph with this fingerprint.
+  /// QueryMappedTile for a tile of one.
   Ranking QueryMapped(const std::vector<uint8_t>& fingerprint,
                       const QueryOptions& options,
                       ServeQueryStats* stats = nullptr) const;
 
-  /// Stage 2 alone: the live physical rows surviving ∩ sup(f_r) over the
-  /// fingerprint's set bits (ascending). Requires the containment
-  /// prefilter to be enabled and at least one set bit (the intersection
-  /// over an empty feature family is degenerate — callers fall back to a
-  /// full scan there, as QueryMapped does). A sharded owner collects these
-  /// once per shard, decides narrowed-vs-full globally, and feeds them
-  /// back through QueryMappedCandidates — one intersection pass total.
-  std::vector<int> PrefilterCandidateRows(
-      const std::vector<uint8_t>& fingerprint) const;
-
-  /// Stage 3 alone, over an explicit candidate row set (stage 2 already
-  /// done by the owner): scores candidate_rows against the fingerprint and
-  /// ranks with the usual score-then-id order, external ids in the result.
-  /// stats reports a narrowed scan of candidate_rows.size() rows.
-  Ranking QueryMappedCandidates(const std::vector<uint8_t>& fingerprint,
-                                const QueryOptions& options,
-                                const std::vector<int>& candidate_rows,
-                                ServeQueryStats* stats = nullptr) const;
-
-  /// Answers a whole batch across the thread pool. results[i] corresponds
-  /// to queries[i]; output is deterministic for any thread count (and
-  /// bit-identical for every scan kernel). Optional per-query stats
-  /// (resized to the batch) and an aggregate report. Fingerprints the
-  /// whole batch first (MapAll), then — unless the containment prefilter
-  /// takes the per-query path — scans tiles of ActiveScanKernel()::
-  /// tile_width() queries per row-block pass via QueryMappedTile.
-  std::vector<Ranking> QueryBatch(
-      const GraphDatabase& queries, const QueryOptions& options,
-      ServeBatchReport* report = nullptr,
-      std::vector<ServeQueryStats>* per_query = nullptr) const;
-
-  /// Full-scan stage 3 for a contiguous tile of `count` pre-mapped
-  /// fingerprints, scored together: every row block is loaded once and
-  /// filtered against each of the `count` queries while L1-resident (the
-  /// tiled path behind QueryBatch and the sharded engine's
-  /// QueryMappedBatch). results[q] / (*stats)[q] correspond to
-  /// fingerprints[q]; each equals QueryMapped(fingerprints[q],
-  /// {.k = options.k, .scan_mode = ScanMode::kFull}) bit for bit. Per-query
-  /// latency_ms reports the tile's wall time (each query waited for the
-  /// shared pass).
+  /// Stages 2–3 for a contiguous tile of `count` pre-mapped fingerprints
+  /// (widths must equal num_features()). results[q] / (*stats)[q] answer
+  /// fingerprints[q] with its candidate source:
+  ///  - candidates[q] when `candidates` is given and that entry is not
+  ///    null: the owner's narrowed containment rows (stats report a
+  ///    prefiltered scan of exactly those rows);
+  ///  - otherwise, under ScanMode::kApprox, the nprobe nearest IVF buckets:
+  ///    their base slot ranges plus their appended rows;
+  ///  - otherwise every physical row. These queries share the row-block
+  ///    passes: every block is loaded once and filtered against each of
+  ///    them while L1-resident.
+  /// Answers are bit-identical for every tile split and scan kernel.
+  /// Per-query latency_ms reports the tile's wall time (each query waited
+  /// for the shared pass).
   std::vector<Ranking> QueryMappedTile(
       const std::vector<uint8_t>* fingerprints, int count,
       const QueryOptions& options,
-      std::vector<ServeQueryStats>* stats = nullptr) const;
+      std::vector<ServeQueryStats>* stats = nullptr,
+      const std::vector<int>* const* candidates = nullptr) const;
 
  private:
+  /// A contiguous range [begin, end) of physical rows inside one segment.
+  struct RowRange {
+    int begin;
+    int end;
+  };
+
   QueryEngine() = default;
 
   int total_rows() const { return base_->num_rows() + delta_.num_rows(); }
@@ -385,27 +310,15 @@ class QueryEngine {
     return row < base_n ? base_->row(row) : delta_.row(row - base_n);
   }
 
-  /// Row `row` of the segmented matrix back as a 0/1 byte vector.
-  std::vector<uint8_t> RowBits(int row) const;
-
   /// Rebuilds supports_ from the live rows, in physical row space.
   void BuildSupports();
 
-  /// Stage 2: ∩ sup(f_r) over the fingerprint's set bits (ascending
-  /// physical rows, live rows only — the lists are maintained on mutation).
-  std::vector<int> PrefilterCandidates(
-      const std::vector<uint8_t>& fingerprint) const;
-
-  /// Stage 3 over an explicit row list (prefilter candidates, IVF append
-  /// lists): offers each physical row at its Hamming distance to the packed
-  /// query; removed rows never enter.
-  void OfferRows(const uint64_t* query, const std::vector<int>& rows,
-                 HammingTopK* top) const;
-
-  /// Stage 3 over every physical row, base then delta, for `count` packed
-  /// queries at once: tops[q] selects for queries[q].
-  void OfferAllRows(const uint64_t* const* queries, int count,
-                    HammingTopK* tops) const;
+  /// Stage 3, the one scorer behind every candidate source: offers the rows
+  /// of `ranges` in kernel block passes, then each of `rows`, to tops[q]
+  /// for every one of the `count` packed queries. Removed rows never enter.
+  void Score(const uint64_t* const* queries, int count,
+             const std::vector<RowRange>& ranges, const std::vector<int>& rows,
+             HammingTopK* tops) const;
 
   ServeOptions options_;
   FeatureMapper mapper_{GraphDatabase{}};
@@ -425,8 +338,8 @@ class QueryEngine {
   std::vector<int> row_ids_;
   /// Every physical row (tombstoned ones until Compact), ascending by
   /// external id: the id lookup of FindLiveRow and the id-ordered walk of
-  /// alive_ids, LiveRowWords, and the snapshot writers. Inserted ids only
-  /// grow, so Insert appends.
+  /// alive_ids and LiveRowWords. Inserted ids only grow, so an insert
+  /// appends.
   std::vector<int> by_id_;
   int next_id_ = 0;
   /// Monotonic mutation counter; see epoch().
@@ -437,7 +350,7 @@ class QueryEngine {
   /// IVF candidate-pruning index over the packed rows (ScanMode::kApprox),
   /// whose bucket ranges tile the base segment. Built with the engine (so
   /// a generation swap re-clusters over the new generation's
-  /// fingerprints), maintained by Insert (nearest-centroid append lists)
+  /// fingerprints), maintained by inserts (nearest-centroid append lists)
   /// and Compact (a fresh layout); removals are lazy — scans skip
   /// tombstones. Mutated only under writer_role_, like every other member.
   IvfIndex ivf_;

@@ -5,19 +5,18 @@
 
 namespace gdim {
 
-/// Stage-2 policy for a mapped query. kAuto applies the serving engine's own
-/// narrowed-vs-full fallback — the single-engine default. A sharded owner
-/// instead decides ONCE over global candidate counts and forces every shard
-/// onto the same side: left to their local heuristics, shards diverge from
-/// the single-engine answer (a shard holding fewer than k candidates would
-/// widen to a full scan of rows the single engine's narrowed scan never
-/// touches). The narrowed side of the forced decision goes through
-/// QueryEngine::QueryMappedCandidates with the rows the owner already
-/// collected; kFull is the forced full-scan side, and also what the wire
-/// protocol's MODE=full requests. kApprox (MODE=approx) trades exactness
-/// for scan cost: the engine probes the `nprobe` nearest IVF centroid
-/// buckets (src/index/ivf_index.h) and exact-scores only their members —
-/// the answer may miss rows the probe pruned, and nothing else differs.
+/// Stage-2 policy for a mapped query. kAuto lets ShardedEngine apply the
+/// containment prefilter when the engine has it: the narrowed-vs-full
+/// decision is made once per query over global candidate counts, and the
+/// narrowed rows reach each shard through QueryEngine::QueryMappedTile's
+/// `candidates`; a shard never decides on its own (a shard holding fewer
+/// than k candidates would widen to a full scan the global rule never
+/// runs), and scans all rows when it gets none. kFull always scans all
+/// rows, and is what the wire protocol's MODE=full requests. kApprox
+/// (MODE=approx) trades exactness for scan cost: each shard probes the
+/// `nprobe` nearest IVF centroid buckets (src/index/ivf_index.h) and
+/// exact-scores only their members — the answer may miss rows the probe
+/// pruned, and nothing else differs.
 enum class ScanMode {
   kAuto,
   kFull,
@@ -30,7 +29,7 @@ enum class ScanMode {
 inline constexpr int kNprobeAll = std::numeric_limits<int>::max();
 
 /// Per-query knobs, threaded through every query entry point of
-/// QueryEngine, ShardedEngine, and BatchExecutor — the one options struct
+/// ShardedEngine, its shards, and BatchExecutor — the one options struct
 /// behind the former positional (k, ScanMode) parameter zoo, and the
 /// extension point future per-query knobs (kernel tile hints) land in
 /// without touching any signature. Construct with designated

@@ -17,7 +17,7 @@ namespace {
 
 /// Deterministic k-way gather: every partial is sorted ascending by
 /// (score, id), ids are globally unique, so repeatedly taking the smallest
-/// head reproduces the single-engine total order exactly.
+/// head reproduces the unsharded total order exactly.
 Ranking MergeTopK(const std::vector<Ranking>& partials, int k) {
   Ranking out;
   if (k <= 0) return out;
@@ -41,6 +41,29 @@ Ranking MergeTopK(const std::vector<Ranking>& partials, int k) {
     out.push_back(partials[best][cursor[best]++]);
   }
   return out;
+}
+
+/// The live rows of every shard (live engines or frozen captures) as
+/// (id, packed word pointer) pairs in global ascending-id order.
+template <typename Shards>
+std::vector<std::pair<int, const uint64_t*>> LiveRowsById(
+    const Shards& shards) {
+  std::vector<std::pair<int, const uint64_t*>> live;
+  for (const auto& shard : shards) {
+    const auto shard_live = shard.LiveRowWords();
+    live.insert(live.end(), shard_live.begin(), shard_live.end());
+  }
+  std::sort(live.begin(), live.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return live;
+}
+
+std::vector<int> IdsOf(
+    const std::vector<std::pair<int, const uint64_t*>>& live) {
+  std::vector<int> ids;
+  ids.reserve(live.size());
+  for (const auto& row : live) ids.push_back(row.first);
+  return ids;
 }
 
 }  // namespace
@@ -90,9 +113,9 @@ Result<ShardedEngine> ShardedEngine::FromPacked(PackedIndex index,
         " bits wide, feature dimension is " + std::to_string(p));
   }
   const int n = index.rows.num_rows();
-  // Global id validation up front: per-shard validation only sees ascending
-  // subsequences, so e.g. a globally unsorted id list could split into
-  // shards that each look fine.
+  // The one id validation: shards trust it. Checking per shard would only
+  // see ascending subsequences, so e.g. a globally unsorted id list could
+  // split into shards that each look fine.
   if (!index.ids.empty()) {
     if (index.ids.size() != static_cast<size_t>(n)) {
       return Status::InvalidArgument("index id count does not match rows");
@@ -328,25 +351,17 @@ std::vector<int> ShardedEngine::alive_ids() const {
 }
 
 PersistedIndex ShardedEngine::ToPersistedIndex() const {
-  // Merge the shards' live rows back into ascending-id order.
-  std::vector<std::pair<int, std::vector<uint8_t>>> rows;
-  rows.reserve(static_cast<size_t>(num_graphs()));
-  for (const QueryEngine& shard : shards_) {
-    PersistedIndex part = shard.ToPersistedIndex();
-    for (size_t i = 0; i < part.db_bits.size(); ++i) {
-      rows.emplace_back(part.ids[i], std::move(part.db_bits[i]));
-    }
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const std::vector<std::pair<int, const uint64_t*>> live =
+      LiveRowsById(shards_);
   PersistedIndex index;
   index.features = mapper_.features();
-  index.db_bits.reserve(rows.size());
-  index.ids.reserve(rows.size());
-  for (auto& [id, bits] : rows) {
-    index.ids.push_back(id);
-    index.db_bits.push_back(std::move(bits));
+  index.db_bits.reserve(live.size());
+  const size_t p = static_cast<size_t>(num_features());
+  for (const auto& [id, words] : live) {
+    std::vector<uint8_t>& bits = index.db_bits.emplace_back(p);
+    for (size_t r = 0; r < p; ++r) bits[r] = (words[r / 64] >> (r % 64)) & 1;
   }
+  index.ids = IdsOf(live);
   index.next_id = next_id_;
   return index;
 }
@@ -362,21 +377,13 @@ Status ShardedEngine::Snapshot(const std::string& path,
     // Compatibility escape hatch: the merged live rows in global id order,
     // word-level, without the v3 sections.
     const FrozenShardedState frozen = Freeze();
-    std::vector<std::pair<int, const uint64_t*>> live;
-    for (const FrozenEngineState& shard : frozen.shards) {
-      const auto shard_live = shard.LiveRowWords();
-      live.insert(live.end(), shard_live.begin(), shard_live.end());
-    }
-    std::sort(live.begin(), live.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<int> ids;
-    ids.reserve(live.size());
-    for (const auto& row : live) ids.push_back(row.first);
+    const std::vector<std::pair<int, const uint64_t*>> live =
+        LiveRowsById(frozen.shards);
     return WriteIndexFileV2Words(
         frozen.features, static_cast<uint64_t>(live.size()),
         static_cast<uint64_t>(frozen.words_per_row),
-        [&](uint64_t i) { return live[i].second; }, ids, frozen.next_id,
-        path);
+        [&](uint64_t i) { return live[i].second; }, IdsOf(live),
+        frozen.next_id, path);
   }
   return WriteIndexFile(ToPersistedIndex(), path, format);
 }
@@ -400,18 +407,9 @@ FrozenShardedState ShardedEngine::Freeze() const {
 Status ShardedEngine::WriteSnapshot(const FrozenShardedState& frozen,
                                     const std::string& path) {
   // Stream every frozen shard's packed rows in global id order — word-level
-  // pointers into the capture's segments, no byte materialization, exactly
-  // like the single-engine snapshot path.
-  std::vector<std::pair<int, const uint64_t*>> live;
-  for (const FrozenEngineState& shard : frozen.shards) {
-    const auto shard_live = shard.LiveRowWords();
-    live.insert(live.end(), shard_live.begin(), shard_live.end());
-  }
-  std::sort(live.begin(), live.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<int> ids;
-  ids.reserve(live.size());
-  for (const auto& row : live) ids.push_back(row.first);
+  // pointers into the capture's segments, no byte materialization.
+  const std::vector<std::pair<int, const uint64_t*>> live =
+      LiveRowsById(frozen.shards);
 
   PersistedMeta meta;
   meta.generation = frozen.generation;
@@ -445,97 +443,92 @@ Status ShardedEngine::WriteSnapshot(const FrozenShardedState& frozen,
   return WriteIndexFileV3Words(
       frozen.features, static_cast<uint64_t>(live.size()),
       static_cast<uint64_t>(frozen.words_per_row),
-      [&](uint64_t i) { return live[i].second; }, ids, frozen.next_id,
-      sections, path);
+      [&](uint64_t i) { return live[i].second; }, IdsOf(live),
+      frozen.next_id, sections, path);
 }
 
-Ranking ShardedEngine::ScatterGather(const std::vector<uint8_t>& fingerprint,
-                                     const QueryOptions& options,
-                                     ServeQueryStats* stats,
-                                     int scatter_threads) const {
-  const int k = options.k;
-  WallTimer timer;
-  const int n_shards = num_shards();
-
-  // Stage-2 policy is decided ONCE, over global counts, then forced onto
-  // every shard. Left to their per-shard fallback heuristics the shards
-  // diverge from the single engine: a shard locally holding fewer than k
-  // candidates would widen to a full scan the single engine never runs.
-  // The global rule is exactly the single engine's (some candidate
-  // survived, enough to fill k, strictly narrower than a full scan), and
-  // the candidate rows collected here feed straight into the narrowed
-  // scans — one intersection pass per shard total.
-  bool narrowed = false;
-  int features_on = 0;
-  for (uint8_t b : fingerprint) features_on += b != 0 ? 1 : 0;
-  std::vector<std::vector<int>> candidates;
+void ShardedEngine::ScanTile(const std::vector<uint8_t>* fingerprints,
+                             int count, const QueryOptions& options,
+                             Ranking* results, ServeQueryStats* stats) const {
+  WallTimer tile_timer;
+  const size_t n = static_cast<size_t>(count);
+  // Stage-2 policy is decided ONCE per query, over global counts, and the
+  // shards only carry it out. Left to a per-shard rule they would diverge
+  // from the unsharded answer: a shard locally holding fewer than k
+  // candidates would widen to a full scan the global rule never runs. The
+  // rule narrows only when it actually narrows: some candidate survived (an
+  // empty intersection is a degenerate "scan of zero rows", not a narrowed
+  // scan — the documented fallback applies, also at k == 0), enough to
+  // fill k, and strictly fewer than the live rows. The candidate rows
+  // collected here feed the narrowed scans — one intersection per shard.
+  std::vector<std::vector<std::vector<int>>> candidates(shards_.size());
+  std::vector<std::vector<const std::vector<int>*>> narrowed(
+      shards_.size(), std::vector<const std::vector<int>*>(n, nullptr));
   if (options_.serve.containment_prefilter &&
-      options.scan_mode == ScanMode::kAuto && features_on > 0) {
-    candidates.resize(static_cast<size_t>(n_shards));
-    long long total = 0;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      candidates[s] = shards_[s].PrefilterCandidateRows(fingerprint);
-      total += static_cast<long long>(candidates[s].size());
+      options.scan_mode == ScanMode::kAuto) {
+    for (std::vector<std::vector<int>>& rows : candidates) rows.resize(n);
+    for (size_t q = 0; q < n; ++q) {
+      const std::vector<uint8_t>& fp = fingerprints[q];
+      if (std::none_of(fp.begin(), fp.end(),
+                       [](uint8_t b) { return b != 0; })) {
+        continue;
+      }
+      long long total = 0;
+      for (size_t s = 0; s < shards_.size(); ++s) {
+        candidates[s][q] = shards_[s].PrefilterCandidateRows(fp);
+        total += static_cast<long long>(candidates[s][q].size());
+      }
+      if (total == 0 || total < std::max(options.k, 0) ||
+          total >= num_graphs()) {
+        continue;
+      }
+      for (size_t s = 0; s < shards_.size(); ++s) {
+        narrowed[s][q] = &candidates[s][q];
+      }
     }
-    narrowed = total > 0 && total >= std::max(k, 0) && total < num_graphs();
   }
 
-  std::vector<Ranking> partials(static_cast<size_t>(n_shards));
-  std::vector<ServeQueryStats> shard_stats(static_cast<size_t>(n_shards));
-  // kApprox travels to every shard as-is: each shard probes its own IVF
-  // index with the same nprobe, so the gather merges per-shard approximate
-  // top-k lists. At kNprobeAll every shard's candidate set is its full live
-  // set and the merge is bit-identical to the forced-full path.
-  const bool approx = options.scan_mode == ScanMode::kApprox;
-  const QueryOptions forced =
-      approx ? options
-             : QueryOptions{.k = options.k, .scan_mode = ScanMode::kFull};
-  ParallelScatter(
-      n_shards,
-      [&](int s) {
-        const size_t i = static_cast<size_t>(s);
-        partials[i] =
-            narrowed
-                ? shards_[i].QueryMappedCandidates(fingerprint, options,
-                                                   candidates[i],
-                                                   &shard_stats[i])
-                : shards_[i].QueryMapped(fingerprint, forced,
-                                         &shard_stats[i]);
-      },
-      scatter_threads);
-  WallTimer gather_timer;
-  Ranking merged = MergeTopK(partials, k);
-  const double gather_usec = gather_timer.Micros();
-  if (stats != nullptr) {
-    stats->latency_ms = timer.Millis();
-    stats->features_on = features_on;
-    stats->scanned = 0;
-    stats->rows_pruned = 0;
-    stats->ivf_probe_usec = 0.0;
-    // Per-shard stage samples, collected in this serial tail (after the
-    // scatter join) so no shard writes a shared slot concurrently.
-    stats->shard_scan_usec.clear();
-    stats->shard_scan_usec.reserve(static_cast<size_t>(n_shards));
-    for (int s = 0; s < n_shards; ++s) {
-      stats->scanned += shard_stats[static_cast<size_t>(s)].scanned;
-      stats->rows_pruned += shard_stats[static_cast<size_t>(s)].rows_pruned;
-      stats->ivf_probe_usec +=
-          shard_stats[static_cast<size_t>(s)].ivf_probe_usec;
-      stats->shard_scan_usec.push_back(
-          shard_stats[static_cast<size_t>(s)].latency_ms * 1e3);
-    }
-    stats->prefiltered = narrowed;
-    stats->approx = approx;
-    stats->gather_usec = gather_usec;
+  // Every shard scores the whole tile; the shards run one after another,
+  // the tiles in parallel.
+  std::vector<std::vector<Ranking>> partials(shards_.size());
+  std::vector<std::vector<ServeQueryStats>> shard_stats(shards_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    partials[s] = shards_[s].QueryMappedTile(fingerprints, count, options,
+                                             &shard_stats[s],
+                                             narrowed[s].data());
   }
-  return merged;
+  std::vector<Ranking> per_shard(shards_.size());
+  for (size_t q = 0; q < n; ++q) {
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      per_shard[s] = std::move(partials[s][q]);
+    }
+    ServeQueryStats& st = stats[q];
+    WallTimer gather_timer;
+    results[q] = MergeTopK(per_shard, options.k);
+    st.gather_usec = gather_timer.Micros();
+    // Every shard took the same stage-2 side, so shard 0 reports it.
+    st.features_on = shard_stats[0][q].features_on;
+    st.prefiltered = shard_stats[0][q].prefiltered;
+    st.approx = shard_stats[0][q].approx;
+    for (const std::vector<ServeQueryStats>& shard : shard_stats) {
+      st.scanned += shard[q].scanned;
+      st.rows_pruned += shard[q].rows_pruned;
+      st.ivf_probe_usec += shard[q].ivf_probe_usec;
+    }
+  }
+  const double tile_ms = tile_timer.Millis();
+  for (size_t q = 0; q < n; ++q) stats[q].latency_ms = tile_ms;
+  // One scan sample per shard pass over the tile, attributed to the tile's
+  // first query (every query's shard latency is that pass's wall time).
+  for (const std::vector<ServeQueryStats>& shard : shard_stats) {
+    stats[0].shard_scan_usec.push_back(shard[0].latency_ms * 1e3);
+  }
 }
 
 Ranking ShardedEngine::Query(const Graph& query, const QueryOptions& options,
                              ServeQueryStats* stats) const {
   WallTimer timer;
-  Ranking top = ScatterGather(mapper_.Map(query), options, stats,
-                              options_.serve.threads);
+  Ranking top = QueryMapped(mapper_.Map(query), options, stats);
   if (stats != nullptr) stats->latency_ms = timer.Millis();  // include VF2
   return top;
 }
@@ -543,93 +536,11 @@ Ranking ShardedEngine::Query(const Graph& query, const QueryOptions& options,
 Ranking ShardedEngine::QueryMapped(const std::vector<uint8_t>& fingerprint,
                                    const QueryOptions& options,
                                    ServeQueryStats* stats) const {
-  return ScatterGather(fingerprint, options, stats, options_.serve.threads);
-}
-
-void ShardedEngine::ScanMappedBatch(
-    const std::vector<std::vector<uint8_t>>& fingerprints,
-    const QueryOptions& options, std::vector<Ranking>* results,
-    std::vector<ServeQueryStats>* stats) const {
-  const int n = static_cast<int>(fingerprints.size());
-  if (options.scan_mode == ScanMode::kApprox ||
-      (options_.serve.containment_prefilter &&
-       options.scan_mode == ScanMode::kAuto)) {
-    // The stage-2 narrowed-vs-full decision is global and per query, so
-    // queries cannot share row passes: one pool over queries, each
-    // scattering over shards serially (no nested pools). kApprox takes the
-    // same per-query path — the tiled path below forces full scans, which
-    // would silently ignore the probe.
-    ParallelFor(
-        0, n,
-        [&](int i) {
-          WallTimer query_timer;
-          (*results)[static_cast<size_t>(i)] =
-              ScatterGather(fingerprints[static_cast<size_t>(i)], options,
-                            &(*stats)[static_cast<size_t>(i)], 1);
-          (*stats)[static_cast<size_t>(i)].latency_ms = query_timer.Millis();
-        },
-        options_.serve.threads);
-    return;
-  }
-  // Block-tiled multi-query path: cut the batch into tiles of the active
-  // kernel's width and let every shard score a whole tile per row-block
-  // pass (QueryEngine::QueryMappedTile), then gather-merge per query. The
-  // merge is the same deterministic k-way MergeTopK as the scatter path, so
-  // answers are bit-identical to one-query-at-a-time scattering for every
-  // tile split, shard count, and kernel.
-  const QueryOptions full{.k = options.k, .scan_mode = ScanMode::kFull};
-  const int tile = ActiveScanKernel().tile_width();
-  const int num_tiles = tile > 0 ? (n + tile - 1) / tile : 0;
-  ParallelFor(
-      0, num_tiles,
-      [&](int t) {
-        const int begin = t * tile;
-        const int count = std::min(tile, n - begin);
-        WallTimer tile_timer;
-        std::vector<std::vector<Ranking>> partials(shards_.size());
-        std::vector<std::vector<ServeQueryStats>> shard_stats(
-            shards_.size());
-        for (size_t s = 0; s < shards_.size(); ++s) {
-          partials[s] = shards_[s].QueryMappedTile(
-              fingerprints.data() + begin, count, full, &shard_stats[s]);
-        }
-        for (int q = 0; q < count; ++q) {
-          std::vector<Ranking> per_shard;
-          per_shard.reserve(shards_.size());
-          for (size_t s = 0; s < shards_.size(); ++s) {
-            per_shard.push_back(
-                std::move(partials[s][static_cast<size_t>(q)]));
-          }
-          WallTimer gather_timer;
-          (*results)[static_cast<size_t>(begin + q)] =
-              MergeTopK(per_shard, options.k);
-          (*stats)[static_cast<size_t>(begin + q)].gather_usec =
-              gather_timer.Micros();
-        }
-        const double tile_ms = tile_timer.Millis();
-        for (int q = 0; q < count; ++q) {
-          ServeQueryStats& s = (*stats)[static_cast<size_t>(begin + q)];
-          s.latency_ms = tile_ms;
-          s.features_on = shard_stats[0][static_cast<size_t>(q)].features_on;
-          s.scanned = 0;
-          for (size_t sh = 0; sh < shards_.size(); ++sh) {
-            s.scanned += shard_stats[sh][static_cast<size_t>(q)].scanned;
-          }
-          s.prefiltered = false;
-        }
-        // One scan sample per per-shard tile pass, attributed to the tile's
-        // first query (QueryMappedTile reports the pass's wall time in every
-        // query's latency slot) — each ParallelFor iteration owns its tile's
-        // stats slots, so no cross-thread writes.
-        ServeQueryStats& first = (*stats)[static_cast<size_t>(begin)];
-        first.shard_scan_usec.clear();
-        first.shard_scan_usec.reserve(shards_.size());
-        for (size_t sh = 0; sh < shards_.size(); ++sh) {
-          first.shard_scan_usec.push_back(shard_stats[sh][0].latency_ms *
-                                          1e3);
-        }
-      },
-      options_.serve.threads);
+  std::vector<ServeQueryStats> per_query;
+  std::vector<Ranking> results = QueryMappedBatch(
+      {fingerprint}, options, nullptr, stats != nullptr ? &per_query : nullptr);
+  if (stats != nullptr) *stats = std::move(per_query[0]);
+  return std::move(results[0]);
 }
 
 std::vector<Ranking> ShardedEngine::QueryBatch(
@@ -637,14 +548,13 @@ std::vector<Ranking> ShardedEngine::QueryBatch(
     ServeBatchReport* report,
     std::vector<ServeQueryStats>* per_query) const {
   WallTimer batch_timer;
-  std::vector<Ranking> results(queries.size());
-  std::vector<ServeQueryStats> stats(queries.size());
-  // One stage-1 pass over the whole batch, then packed scans only.
-  const std::vector<std::vector<uint8_t>> fingerprints =
-      mapper_.MapAll(queries, options_.serve.threads);
-  ScanMappedBatch(fingerprints, options, &results, &stats);
-  const double wall_ms = batch_timer.Millis();
-  if (report != nullptr) FillServeBatchReport(wall_ms, stats, report);
+  std::vector<ServeQueryStats> stats;
+  std::vector<Ranking> results =
+      QueryMappedBatch(mapper_.MapAll(queries, options_.serve.threads),
+                       options, nullptr, &stats);
+  if (report != nullptr) {
+    FillServeBatchReport(batch_timer.Millis(), stats, report);
+  }
   if (per_query != nullptr) *per_query = std::move(stats);
   return results;
 }
@@ -654,11 +564,23 @@ std::vector<Ranking> ShardedEngine::QueryMappedBatch(
     const QueryOptions& options, ServeBatchReport* report,
     std::vector<ServeQueryStats>* per_query) const {
   WallTimer batch_timer;
+  const int n = static_cast<int>(fingerprints.size());
   std::vector<Ranking> results(fingerprints.size());
   std::vector<ServeQueryStats> stats(fingerprints.size());
-  ScanMappedBatch(fingerprints, options, &results, &stats);
-  const double wall_ms = batch_timer.Millis();
-  if (report != nullptr) FillServeBatchReport(wall_ms, stats, report);
+  // Tile boundaries never affect answers: every query's scores are
+  // bit-identical for every kernel and tile split.
+  const int tile = ActiveScanKernel().tile_width();
+  ParallelFor(
+      0, (n + tile - 1) / tile,
+      [&](int t) {
+        const int begin = t * tile;
+        ScanTile(fingerprints.data() + begin, std::min(tile, n - begin),
+                 options, results.data() + begin, stats.data() + begin);
+      },
+      options_.serve.threads);
+  if (report != nullptr) {
+    FillServeBatchReport(batch_timer.Millis(), stats, report);
+  }
   if (per_query != nullptr) *per_query = std::move(stats);
   return results;
 }

@@ -20,13 +20,13 @@ namespace gdim {
 /// Knobs for the sharded serving layer.
 struct ShardedOptions {
   /// Number of QueryEngine shards; must be >= 1. Results are bit-identical
-  /// for every shard count (the gather merge reproduces the single-engine
-  /// score-then-id total order exactly).
+  /// for every shard count (the gather merge reproduces the score-then-id
+  /// total order exactly).
   int num_shards = 1;
 
-  /// Per-shard serving options. `serve.threads` also sizes the scatter pool
-  /// of Query()/QueryBatch(); the prefilter flag is passed through to every
-  /// shard.
+  /// Per-shard serving options. `serve.threads` also sizes the pool that
+  /// runs a batch's tiles in parallel; the prefilter flag is passed through
+  /// to every shard.
   ServeOptions serve;
 };
 
@@ -51,37 +51,41 @@ struct FrozenShardedState {
   std::optional<FrozenGraphSet> store;
 };
 
-/// A horizontally partitioned QueryEngine: the database is hash-partitioned
-/// across N shards by stable external id (shard of id = id % N), and a top-k
-/// query is answered by scattering the mapped fingerprint to every shard in
-/// parallel and gather-merging the per-shard top-k lists with the same
-/// ascending score-then-id total order the single engine uses.
+/// The serving engine, and its only public query, construction, and
+/// snapshot surface: the database is hash-partitioned across N >= 1
+/// QueryEngine shards by stable external id (shard of id = id % N). Every
+/// query is fingerprinted once (VF2), and every query entry point funnels
+/// into one batch body over the fingerprints: the batch is cut into tiles
+/// of the scan kernel's width, the stage-2 narrowed-vs-full decision is
+/// made per query over global counts, every shard scores the whole tile
+/// (QueryEngine::QueryMappedTile), and the per-shard top-k lists are
+/// gather-merged per query with the ascending score-then-id total order.
 ///
 /// Invariants:
 ///  - External ids are global and stable: the sharded engine owns one id
 ///    sequence, routes inserts/removes by id, and a snapshot/reload cycle —
 ///    including reloading with a *different* shard count — preserves every
 ///    id (the partition function is a pure function of id and N).
-///  - Bit-identical answers: for any shard count and any thread count,
-///    Query/QueryBatch return exactly the ids and scores a single
-///    QueryEngine over the same live database returns, before and after any
-///    interleaved insert/remove/compact sequence. Each shard's top-k is a
-///    superset of the global top-k restricted to that shard, and the k-way
-///    merge breaks ties by id just like the single-engine ranking.
+///  - Bit-identical answers: for any shard count, thread count, and tile
+///    split, a full scan returns exactly TopK(MappedRanking(...)) over the
+///    live rows in id order, before and after any interleaved
+///    insert/remove/compact sequence. Each shard's top-k is a superset of
+///    the global top-k restricted to that shard, and the k-way merge breaks
+///    ties by id just like the offline ranking.
 ///
-/// Like QueryEngine, mutations are not thread-safe: callers must not run
-/// Insert/Remove/Compact concurrently with each other or with queries. The
-/// contract is compiler-checked: every mutating method (and Freeze)
-/// REQUIRES writer_role(), acquired once by the single writer — the
-/// BatchExecutor's dispatcher thread in production, a ScopedRole in
-/// single-threaded tests/tools. The per-shard QueryEngine roles are
+/// Mutations are not thread-safe: callers must not run Insert/Remove/Compact
+/// concurrently with each other or with queries. The contract is
+/// compiler-checked: every mutating method (and Freeze) REQUIRES
+/// writer_role(), acquired once by the single writer — the BatchExecutor's
+/// dispatcher thread in production, a ScopedRole in single-threaded
+/// tests/tools. The per-shard QueryEngine roles are
 /// subsumed: shards are private and reachable only through this engine, so
 /// the implementation asserts each shard's role under its own.
 class ShardedEngine {
  public:
   /// Partitions the persisted index across options.num_shards shards.
   /// Row ids (explicit, or positional when the index has no id block)
-  /// determine placement; validation mirrors QueryEngine::FromIndex.
+  /// determine placement; validation is FromPacked's.
   static Result<ShardedEngine> FromIndex(PersistedIndex index,
                                          ShardedOptions options = {});
 
@@ -92,7 +96,9 @@ class ShardedEngine {
                                          ShardedOptions options = {});
 
   /// FromIndex over an index already in the packed scan layout: shard rows
-  /// are split with word-level copies, never through byte vectors. v3
+  /// are split with word-level copies, never through byte vectors. The
+  /// width, the ids (strictly ascending, one per row) and next_id (beyond
+  /// every id) are validated here, once, for every shard. v3
   /// sections are adopted when present: every shard projects the persisted
   /// IVF layout onto its own partition (skipping the rebuild), and META
   /// restores the dimension generation and raises the mutation epoch to at
@@ -153,8 +159,8 @@ class ShardedEngine {
   }
 
   /// Inserts a graph: assigns the next global id, fingerprints once, and
-  /// appends to the owning shard. Returns the stable external id — the same
-  /// id a single QueryEngine would have assigned.
+  /// appends to the owning shard. Returns the stable external id; ids are
+  /// assigned in sequence whatever the shard count.
   Result<int> Insert(const Graph& graph) GDIM_REQUIRES(writer_role_);
 
   /// Insert for callers that already hold the mapped fingerprint.
@@ -186,10 +192,9 @@ class ShardedEngine {
   /// External ids of the live graphs across all shards, ascending.
   std::vector<int> alive_ids() const;
 
-  /// The equivalent single-engine database: live fingerprints and ids in
-  /// ascending-id order plus the global id counter. A QueryEngine (or a
-  /// ShardedEngine of any shard count) built from this answers queries
-  /// bit-identically.
+  /// The equivalent database: live fingerprints and ids in ascending-id
+  /// order plus the global id counter. An engine of any shard count built
+  /// from this answers queries bit-identically.
   PersistedIndex ToPersistedIndex() const;
 
   /// Writes the merged live state to one index file, shard-count
@@ -224,35 +229,34 @@ class ShardedEngine {
   static Status WriteSnapshot(const FrozenShardedState& frozen,
                               const std::string& path);
 
-  /// Top-k for one query: VF2-fingerprint once, scatter the mapped vector
-  /// across all shards on the scatter pool, gather-merge. stats aggregates
-  /// over shards (scanned rows are summed; prefiltered means every shard
-  /// with live rows served from a narrowed scan). Per-query knobs travel in
-  /// `options`: engine.Query(q, {.k = 10}).
+  /// Top-k for one query: VF2-fingerprint it, then QueryMapped. stats
+  /// aggregates over shards (scanned rows, pruned rows and probe time are
+  /// summed; prefiltered means the global decision narrowed the scan), and
+  /// latency_ms includes the mapping. Per-query knobs travel in `options`:
+  /// engine.Query(q, {.k = 10}).
   Ranking Query(const Graph& query, const QueryOptions& options,
                 ServeQueryStats* stats = nullptr) const;
 
-  /// Query for a pre-mapped fingerprint (width must be num_features()).
+  /// Query for a pre-mapped fingerprint (width must be num_features()): a
+  /// QueryMappedBatch of one.
   Ranking QueryMapped(const std::vector<uint8_t>& fingerprint,
                       const QueryOptions& options,
                       ServeQueryStats* stats = nullptr) const;
 
-  /// Answers a whole batch: one MapAll fingerprinting pass, then the same
-  /// scan path as QueryMappedBatch. Deterministic for any thread count and
-  /// bit-identical for every scan kernel.
+  /// Answers a whole batch: one MapAll fingerprinting pass, then
+  /// QueryMappedBatch. Deterministic for any thread count and bit-identical
+  /// for every scan kernel. The report's wall time includes the mapping.
   std::vector<Ranking> QueryBatch(
       const GraphDatabase& queries, const QueryOptions& options,
       ServeBatchReport* report = nullptr,
       std::vector<ServeQueryStats>* per_query = nullptr) const;
 
-  /// QueryBatch over pre-mapped fingerprints — the multi-query entry point
-  /// the batch executor coalesces concurrent network queries into. Unless
-  /// the containment prefilter takes the per-query scatter path, the batch
-  /// is cut into tiles of ActiveScanKernel()::tile_width() queries and each
-  /// shard scores a whole tile per row-block pass (QueryEngine::
-  /// QueryMappedTile) instead of looping queries outermost; the per-query
-  /// gather merge is unchanged, so answers are bit-identical to the
-  /// one-query-at-a-time path.
+  /// QueryBatch over pre-mapped fingerprints — the one query body behind
+  /// every entry point, and the one the batch executor coalesces concurrent
+  /// network queries into. The batch is cut into tiles of
+  /// ActiveScanKernel()::tile_width() queries, run in parallel on
+  /// `serve.threads`; see ScanTile. Each query's answer and stats equal
+  /// those of a batch of one, whatever the tile split.
   std::vector<Ranking> QueryMappedBatch(
       const std::vector<std::vector<uint8_t>>& fingerprints,
       const QueryOptions& options, ServeBatchReport* report = nullptr,
@@ -271,26 +275,18 @@ class ShardedEngine {
     return id % static_cast<int>(shards_.size());
   }
 
-  /// Scatter + gather for one mapped fingerprint with an explicit scatter
-  /// pool size (1 inside batch loops, options_.serve.threads for single
-  /// queries).
-  Ranking ScatterGather(const std::vector<uint8_t>& fingerprint,
-                        const QueryOptions& options, ServeQueryStats* stats,
-                        int scatter_threads) const;
-
-  /// The shared scan body of QueryBatch/QueryMappedBatch: fills results and
-  /// stats (both pre-sized to the batch) tile by tile, or per query when
-  /// the prefilter decides scans.
-  void ScanMappedBatch(const std::vector<std::vector<uint8_t>>& fingerprints,
-                       const QueryOptions& options,
-                       std::vector<Ranking>* results,
-                       std::vector<ServeQueryStats>* stats) const;
+  /// One tile of QueryMappedBatch: decides each query's stage-2 policy over
+  /// global candidate counts, lets every shard (serially) score the whole
+  /// tile, and gather-merges per query into results[0, count) and
+  /// stats[0, count).
+  void ScanTile(const std::vector<uint8_t>* fingerprints, int count,
+                const QueryOptions& options, Ranking* results,
+                ServeQueryStats* stats) const;
 
   ShardedOptions options_;
   FeatureMapper mapper_{GraphDatabase{}};
   std::vector<QueryEngine> shards_;
-  /// The global id sequence; mirrors what a single engine's counter would
-  /// be after the same build + mutation history.
+  /// The global id sequence; see next_id().
   int next_id_ = 0;
   /// Dimension generations adopted; see generation().
   uint64_t generation_ = 0;

@@ -380,20 +380,32 @@ TEST(ApproxQueryTest, FusedSelectionMatchesReferenceUnderChurn) {
           EXPECT_EQ(stats.prefiltered, narrows);
           narrowed += narrows ? 1 : 0;
         }
-        // The tiled scan, per shard against the shard's own live rows.
+        // The tiled scan, per shard against the shard's own live rows (the
+        // ids it owns, id % shards == s), full and at NPROBE=all.
         for (int s = 0; s < e.num_shards(); ++s) {
           const QueryEngine& shard = e.shard(s);
-          const PersistedIndex shard_live = shard.ToPersistedIndex();
+          PersistedIndex shard_live;
+          for (size_t i = 0; i < live.ids.size(); ++i) {
+            if (live.ids[i] % e.num_shards() != s) continue;
+            shard_live.ids.push_back(live.ids[i]);
+            shard_live.db_bits.push_back(live.db_bits[i]);
+          }
+          EXPECT_EQ(shard_live.ids, shard.alive_ids());
           for (int width = 1; width <= 8; ++width) {
-            const std::vector<Ranking> tiled = shard.QueryMappedTile(
-                queries.data(), width,
-                {.k = k, .scan_mode = ScanMode::kFull});
-            for (int q = 0; q < width; ++q) {
-              EXPECT_EQ(tiled[static_cast<size_t>(q)],
-                        ReferenceTopK(shard_live,
-                                      queries[static_cast<size_t>(q)],
-                                      nullptr, k))
-                  << "shard=" << s << " width=" << width << " q=" << q;
+            for (const QueryOptions& options :
+                 {QueryOptions{.k = k, .scan_mode = ScanMode::kFull},
+                  QueryOptions{.k = k,
+                               .scan_mode = ScanMode::kApprox,
+                               .nprobe = kNprobeAll}}) {
+              const std::vector<Ranking> tiled =
+                  shard.QueryMappedTile(queries.data(), width, options);
+              for (int q = 0; q < width; ++q) {
+                EXPECT_EQ(tiled[static_cast<size_t>(q)],
+                          ReferenceTopK(shard_live,
+                                        queries[static_cast<size_t>(q)],
+                                        nullptr, k))
+                    << "shard=" << s << " width=" << width << " q=" << q;
+              }
             }
           }
         }
@@ -476,11 +488,12 @@ TEST(ApproxQueryTest, FusedSelectionMatchesReferenceUnderChurn) {
 // v3 snapshot's IVF layout.
 TEST(ApproxQueryTest, IdOrderedViewsAscendAcrossBucketLayouts) {
   const Corpus corpus = ClusteredCorpus(/*seed=*/37);
-  const auto expect_ascending = [](const QueryEngine& engine) {
+  const auto expect_ascending = [](const ShardedEngine& engine) {
     const std::vector<int> ids = engine.alive_ids();
     EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
     EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
-    const auto words = engine.LiveRowWords();
+    EXPECT_EQ(engine.shard(0).alive_ids(), ids);
+    const auto words = engine.shard(0).LiveRowWords();
     const PersistedIndex persisted = engine.ToPersistedIndex();
     ASSERT_EQ(words.size(), ids.size());
     ASSERT_EQ(persisted.ids, ids);
@@ -492,7 +505,7 @@ TEST(ApproxQueryTest, IdOrderedViewsAscendAcrossBucketLayouts) {
           << "id " << ids[i];
     }
   };
-  auto built = QueryEngine::FromIndex(IndexFor(corpus.rows));
+  auto built = ShardedEngine::FromIndex(IndexFor(corpus.rows));
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   expect_ascending(*built);
   EXPECT_EQ(built->alive_ids().size(), corpus.rows.size());
@@ -514,7 +527,7 @@ TEST(ApproxQueryTest, IdOrderedViewsAscendAcrossBucketLayouts) {
   const std::string path =
       ::testing::TempDir() + "/gdim_id_order_snapshot.idx3";
   ASSERT_TRUE(built->Snapshot(path, IndexFormat::kV3Sectioned).ok());
-  auto adopted = QueryEngine::Open(path);
+  auto adopted = ShardedEngine::Open(path);
   ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
   expect_ascending(*adopted);
   EXPECT_EQ(adopted->alive_ids(), built->alive_ids());

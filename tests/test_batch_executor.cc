@@ -18,9 +18,9 @@
 
 #include "core/index_io.h"
 #include "graph/graph.h"
-#include "serve/query_engine.h"
 #include "server/batch_executor.h"
 #include "server/sharded_engine.h"
+#include "test_util.h"
 
 namespace gdim {
 namespace {
@@ -68,7 +68,12 @@ TEST(BatchExecutorTest, ConcurrentQueriesMatchDirectEngine) {
       LabelGraph({3, 4}),
   };
   std::vector<Ranking> expected;
-  for (const Graph& p : probes) expected.push_back(engine.Query(p, {.k = 7}));
+  for (const Graph& p : probes) {
+    expected.push_back(engine.Query(p, {.k = 7}));
+    EXPECT_EQ(expected.back(),
+              testing_util::OfflineTopK(engine.mapper().Map(p),
+                                        LabelIndex(30).db_bits, {}, 7));
+  }
 
   BatchExecutorOptions opts;
   opts.queue_capacity = 64;
@@ -161,7 +166,7 @@ TEST(BatchExecutorTest, MutationsAreFifoWithQueries) {
 
   const std::string path = ::testing::TempDir() + "/gdim_executor_snap.idx2";
   ASSERT_TRUE(executor.Snapshot(path).ok());
-  auto reloaded = QueryEngine::Open(path);
+  auto reloaded = ShardedEngine::Open(path);
   ASSERT_TRUE(reloaded.ok());
   EXPECT_EQ(reloaded->num_graphs(), 6);
 
@@ -290,7 +295,7 @@ TEST(BatchExecutorTest, SnapshotStreamsInBackgroundWithoutBlockingQueries) {
 
   // The drained bytes are the freeze-time state: the insert that happened
   // mid-write is absent, everything older is present.
-  Result<QueryEngine> reloaded = QueryEngine::Open(drained);
+  Result<ShardedEngine> reloaded = ShardedEngine::Open(drained);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(reloaded->num_graphs(), kRows);
   for (int id : reloaded->alive_ids()) EXPECT_NE(id, *inserted);

@@ -25,9 +25,9 @@
 #include "common/random.h"
 #include "core/index_io.h"
 #include "graph/graph.h"
-#include "serve/query_engine.h"
 #include "server/batch_executor.h"
 #include "server/sharded_engine.h"
+#include "test_util.h"
 
 namespace gdim {
 namespace {
@@ -165,7 +165,7 @@ void RunChurnInterleaving(int shards, int threads, uint64_t seed) {
             std::to_string(shards) + "_" + std::to_string(threads) + "_" +
             std::to_string(seed) + ".idx2";
         ASSERT_TRUE(executor.Snapshot(path).ok());
-        Result<QueryEngine> reloaded = QueryEngine::Open(path);
+        Result<ShardedEngine> reloaded = ShardedEngine::Open(path);
         ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
         std::vector<int> want_ids;
         for (const auto& [id, bits] : model.live) want_ids.push_back(id);
@@ -179,16 +179,27 @@ void RunChurnInterleaving(int shards, int threads, uint64_t seed) {
         const int k =
             ks[static_cast<size_t>(rng.UniformInt(
                 0, static_cast<int>(ks.size()) - 1))];
-        // The reference runs single-engine, single-threaded, uncached —
-        // but with the same prefilter setting: the containment prefilter
-        // is deliberately lossy for similarity, so it is part of the
-        // configuration under test, not noise to normalize away.
-        ServeOptions brute_opts;
-        brute_opts.containment_prefilter = opts.serve.containment_prefilter;
-        Result<QueryEngine> brute =
-            QueryEngine::FromIndex(model.ToIndex(), brute_opts);
+        // The reference runs one shard, single-threaded, uncached — but
+        // with the same prefilter setting: the containment prefilter is
+        // deliberately lossy for similarity, so it is part of the
+        // configuration under test, not noise to normalize away. It must
+        // itself equal the offline ranking over the model's live rows.
+        ShardedOptions brute_opts;
+        brute_opts.serve.threads = 1;
+        brute_opts.serve.containment_prefilter =
+            opts.serve.containment_prefilter;
+        const PersistedIndex live = model.ToIndex();
+        Result<ShardedEngine> brute =
+            ShardedEngine::FromIndex(live, brute_opts);
         ASSERT_TRUE(brute.ok()) << brute.status().ToString();
         const Ranking want = brute->Query(GraphForBits(probe), {.k = k});
+        ExpectRankingEq(
+            want,
+            opts.serve.containment_prefilter
+                ? testing_util::OfflinePrefilterTopK(probe, live.db_bits,
+                                                     live.ids, k)
+                : testing_util::OfflineTopK(probe, live.db_bits, live.ids, k),
+            "one-shard reference vs offline ranking");
 
         Result<Ranking> first = executor.Query(GraphForBits(probe), {.k = k});
         ASSERT_TRUE(first.ok()) << first.status().ToString();

@@ -13,7 +13,8 @@
 #include "core/topk.h"
 #include "datasets/chemgen.h"
 #include "graph/graph_io.h"
-#include "serve/query_engine.h"
+#include "server/sharded_engine.h"
+#include "test_util.h"
 
 namespace gdim {
 namespace {
@@ -258,7 +259,7 @@ TEST(IndexIoTest, V2PersistsCustomIdsAndRejectsBadOnes) {
 
   // An engine over the reloaded index serves those ids and keeps numbering
   // after them.
-  auto engine = QueryEngine::FromIndex(std::move(back).value());
+  auto engine = ShardedEngine::FromIndex(std::move(back).value());
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   // This test body is the engine's single writer.
   ScopedRole writer(&engine->writer_role());
@@ -273,7 +274,7 @@ TEST(IndexIoTest, V2PersistsCustomIdsAndRejectsBadOnes) {
   ASSERT_TRUE(engine->Remove(41).ok());
   const std::string snap = ::testing::TempDir() + "/gdim_ids_snap.idx2";
   ASSERT_TRUE(engine->Snapshot(snap).ok());
-  auto reloaded = QueryEngine::FromIndex(
+  auto reloaded = ShardedEngine::FromIndex(
       std::move(ReadIndexFile(snap)).value());
   ASSERT_TRUE(reloaded.ok());
   ScopedRole reloaded_writer(&reloaded->writer_role());
@@ -286,7 +287,7 @@ TEST(IndexIoTest, V2PersistsCustomIdsAndRejectsBadOnes) {
   index.ids = {3, 3, 9, 40};
   EXPECT_EQ(WriteIndexFile(index, path, IndexFormat::kV2Binary).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(QueryEngine::FromIndex(index).status().code(),
+  EXPECT_EQ(ShardedEngine::FromIndex(index).status().code(),
             StatusCode::kInvalidArgument);
   index.ids = {3, 7, 9};
   EXPECT_EQ(WriteIndexFile(index, path, IndexFormat::kV2Binary).code(),
@@ -305,7 +306,7 @@ TEST(IndexIoTest, V2PersistsCustomIdsAndRejectsBadOnes) {
 TEST(IndexIoTest, MutatedEngineSnapshotReloadsEquivalently) {
   Rng rng(31);
   const PersistedIndex index = RandomIndex(30, 6, &rng);
-  auto engine = QueryEngine::FromIndex(index);
+  auto engine = ShardedEngine::FromIndex(index);
   ASSERT_TRUE(engine.ok());
   // This test body is the engine's single writer.
   ScopedRole writer(&engine->writer_role());
@@ -341,7 +342,8 @@ TEST(IndexIoTest, MutatedEngineSnapshotReloadsEquivalently) {
     } else {
       EXPECT_TRUE(back->ids.empty());
     }
-    auto reloaded = QueryEngine::FromIndex(std::move(back).value());
+    const std::vector<std::vector<uint8_t>> back_rows = back->db_bits;
+    auto reloaded = ShardedEngine::FromIndex(std::move(back).value());
     ASSERT_TRUE(reloaded.ok());
     ScopedRole reloaded_writer(&reloaded->writer_role());
     EXPECT_EQ(reloaded->num_graphs(), engine->num_graphs());
@@ -359,6 +361,8 @@ TEST(IndexIoTest, MutatedEngineSnapshotReloadsEquivalently) {
       }
     }
     EXPECT_EQ(engine->Query(probe, {.k = 10}), expected);
+    EXPECT_EQ(expected, testing_util::OfflineTopK({1, 1, 1, 0, 0, 0},
+                                                  back_rows, live_ids, 10));
     if (keeps_ids) {
       EXPECT_EQ(reloaded->alive_ids(), live_ids);
       // Removing by external id hits the same graph in both engines.
@@ -447,10 +451,11 @@ TEST(IndexIoTest, OpenServesIdenticallyThroughThePackedPath) {
   const std::string path = ::testing::TempDir() + "/gdim_packed_open.idx2";
   ASSERT_TRUE(WriteIndexFile(index, path, IndexFormat::kV2Binary).ok());
   // Open() loads v2 through ReadIndexFilePacked (block read, no byte
-  // detour); it must serve bit-identically to the byte-path engine.
-  auto packed_engine = QueryEngine::Open(path);
+  // detour); it must serve bit-identically to the byte-path engine and to
+  // the offline ranking.
+  auto packed_engine = ShardedEngine::Open(path);
   ASSERT_TRUE(packed_engine.ok()) << packed_engine.status().ToString();
-  auto byte_engine = QueryEngine::FromIndex(index);
+  auto byte_engine = ShardedEngine::FromIndex(index);
   ASSERT_TRUE(byte_engine.ok());
   // This test body is both engines' single writer.
   ScopedRole packed_writer(&packed_engine->writer_role());
@@ -459,6 +464,8 @@ TEST(IndexIoTest, OpenServesIdenticallyThroughThePackedPath) {
   for (const auto& probe_bits : RandomBitRows(6, 70, 0.35, &rng)) {
     EXPECT_EQ(packed_engine->QueryMapped(probe_bits, {.k = 8}),
               byte_engine->QueryMapped(probe_bits, {.k = 8}));
+    EXPECT_EQ(packed_engine->QueryMapped(probe_bits, {.k = 8}),
+              testing_util::OfflineTopK(probe_bits, index.db_bits, {}, 8));
   }
   // Mutations on a packed-loaded engine behave identically too.
   ASSERT_TRUE(packed_engine->Remove(3).ok());
@@ -576,7 +583,7 @@ TEST(IndexIoTest, V3RoundTripCarriesSections) {
 
   // An engine opened from the file adopts the persisted epoch, and the
   // byte-view reader still accepts the file (sections validated, dropped).
-  auto engine = QueryEngine::Open(path);
+  auto engine = ShardedEngine::Open(path);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_EQ(engine->epoch(), 77u);
   EXPECT_EQ(engine->ivf_buckets(), 2);

@@ -21,13 +21,13 @@
 #include "core/index_io.h"
 #include "core/kernels/scan_kernel.h"
 #include "graph/graph.h"
-#include "serve/query_engine.h"
 #include "server/batch_executor.h"
 #include "server/net_server.h"
 #include "server/net_socket.h"
 #include "server/sharded_engine.h"
 #include "server/wire.h"
 #include "store/graph_store.h"
+#include "test_util.h"
 
 namespace gdim {
 namespace {
@@ -248,9 +248,9 @@ class NetServerTest : public ::testing::Test {
     executor_.emplace(&*engine_, executor_opts);
     server_.emplace(&*executor_);
     ASSERT_TRUE(server_->Start().ok());
-    // A shadow engine for expected answers (the served one is owned by the
-    // executor once it runs).
-    auto shadow = QueryEngine::FromIndex(LabelIndex(20));
+    // A one-shard shadow engine for expected answers (the served one is
+    // owned by the executor once it runs).
+    auto shadow = ShardedEngine::FromIndex(LabelIndex(20));
     ASSERT_TRUE(shadow.ok());
     shadow_.emplace(std::move(shadow).value());
   }
@@ -262,7 +262,7 @@ class NetServerTest : public ::testing::Test {
   std::optional<ShardedEngine> engine_;
   std::optional<BatchExecutor> executor_;
   std::optional<NetServer> server_;
-  std::optional<QueryEngine> shadow_;
+  std::optional<ShardedEngine> shadow_;
 };
 
 TEST_F(NetServerTest, VerbsRoundTripOverTcp) {
@@ -270,8 +270,11 @@ TEST_F(NetServerTest, VerbsRoundTripOverTcp) {
   EXPECT_EQ(client.Rpc("PING"), "OK pong");
 
   const Graph probe = LabelGraph({0, 2, 4});
-  const std::string expected =
-      FormatRankingResponse(shadow_->Query(probe, {.k = 5}));
+  const Ranking shadow_answer = shadow_->Query(probe, {.k = 5});
+  EXPECT_EQ(shadow_answer,
+            testing_util::OfflineTopK(shadow_->mapper().Map(probe),
+                                      LabelIndex(20).db_bits, {}, 5));
+  const std::string expected = FormatRankingResponse(shadow_answer);
   EXPECT_EQ(client.Rpc("QUERY 5 " + EncodeGraphInline(probe)), expected);
 
   EXPECT_EQ(client.Rpc("INSERT " + EncodeGraphInline(LabelGraph({0, 1}))),
@@ -282,7 +285,7 @@ TEST_F(NetServerTest, VerbsRoundTripOverTcp) {
 
   const std::string snap = ::testing::TempDir() + "/gdim_net_snap.idx2";
   EXPECT_EQ(client.Rpc("SNAPSHOT " + snap), "OK snapshot");
-  auto reloaded = QueryEngine::Open(snap);
+  auto reloaded = ShardedEngine::Open(snap);
   ASSERT_TRUE(reloaded.ok());
   EXPECT_EQ(reloaded->num_graphs(), 20);
 
@@ -638,7 +641,7 @@ TEST_F(NetServerTest, SnapshotOverTheWireDoesNotBlockOtherConnections) {
     ::close(read_fd);
   }
   EXPECT_EQ(pending.get(), "OK snapshot");
-  Result<QueryEngine> reloaded = QueryEngine::Open(drained);
+  Result<ShardedEngine> reloaded = ShardedEngine::Open(drained);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(reloaded->num_graphs(), 20);
   ::unlink(fifo.c_str());

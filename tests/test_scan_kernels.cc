@@ -21,7 +21,8 @@
 #include "core/packed_bits.h"
 #include "core/topk.h"
 #include "gtest/gtest.h"
-#include "serve/query_engine.h"
+#include "server/sharded_engine.h"
+#include "test_util.h"
 
 namespace gdim {
 namespace {
@@ -304,8 +305,9 @@ TEST(ScanKernelTest, ScanTopKMultiMatchesPerRowScores) {
   }
 }
 
-// The batch engine's tiled path must answer exactly like the single-query
-// path, including across tombstones and a live delta segment.
+// A shard's tiled path must answer exactly like the single-query path and
+// the offline ranking, in full and approximate mode, including across
+// tombstones and a live delta segment.
 TEST(ScanKernelTest, TiledBatchMatchesSingleQueriesAcrossMutations) {
   Rng rng(11);
   const int p = 96;
@@ -316,28 +318,41 @@ TEST(ScanKernelTest, TiledBatchMatchesSingleQueriesAcrossMutations) {
     index.features.push_back(f);
   }
   index.db_bits = RandomBitRows(40, p, 0.4, &rng);
-  ServeOptions options;
-  options.containment_prefilter = false;
-  Result<QueryEngine> built = QueryEngine::FromIndex(index, options);
+  ShardedOptions options;
+  options.serve.containment_prefilter = false;
+  Result<ShardedEngine> built = ShardedEngine::FromIndex(index, options);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  QueryEngine engine = std::move(built).value();
+  ShardedEngine engine = std::move(built).value();
   // This test body is the engine's single writer.
   ScopedRole writer(&engine.writer_role());
+  std::vector<std::vector<uint8_t>> live_rows = index.db_bits;
   for (const auto& row : RandomBitRows(9, p, 0.4, &rng)) {
     ASSERT_TRUE(engine.InsertMapped(row).ok());  // delta segment
+    live_rows.push_back(row);
   }
   ASSERT_TRUE(engine.Remove(3).ok());
   ASSERT_TRUE(engine.Remove(41).ok());  // one base, one delta tombstone
+  live_rows.erase(live_rows.begin() + 41);
+  live_rows.erase(live_rows.begin() + 3);
+  const std::vector<int> live_ids = engine.alive_ids();
+  const QueryEngine& shard = engine.shard(0);
   const std::vector<std::vector<uint8_t>> fingerprints =
       RandomBitRows(13, p, 0.4, &rng);
-  const QueryOptions query_options{.k = 6, .scan_mode = ScanMode::kFull};
-  const std::vector<Ranking> tiled = engine.QueryMappedTile(
-      fingerprints.data(), static_cast<int>(fingerprints.size()),
-      query_options);
-  ASSERT_EQ(tiled.size(), fingerprints.size());
-  for (size_t i = 0; i < fingerprints.size(); ++i) {
-    EXPECT_EQ(tiled[i], engine.QueryMapped(fingerprints[i], query_options))
-        << "query " << i;
+  for (const ScanMode mode : {ScanMode::kFull, ScanMode::kApprox}) {
+    const QueryOptions query_options{.k = 6, .scan_mode = mode};
+    const std::vector<Ranking> tiled = shard.QueryMappedTile(
+        fingerprints.data(), static_cast<int>(fingerprints.size()),
+        query_options);
+    ASSERT_EQ(tiled.size(), fingerprints.size());
+    for (size_t i = 0; i < fingerprints.size(); ++i) {
+      EXPECT_EQ(tiled[i], shard.QueryMapped(fingerprints[i], query_options))
+          << "query " << i;
+      if (mode == ScanMode::kFull) {
+        EXPECT_EQ(tiled[i], testing_util::OfflineTopK(fingerprints[i],
+                                                      live_rows, live_ids, 6))
+            << "query " << i;
+      }
+    }
   }
 }
 

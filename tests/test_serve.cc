@@ -1,6 +1,6 @@
 // Serving hot-path tests: the packed bit-matrix scan must agree bit for bit
-// with the byte-vector reference, and the QueryEngine must be deterministic
-// across thread counts.
+// with the byte-vector reference, and the serving engine at one shard must
+// answer like the offline ranking, deterministically across thread counts.
 
 #include <gtest/gtest.h>
 
@@ -17,10 +17,20 @@
 #include "core/packed_bits.h"
 #include "core/topk.h"
 #include "datasets/chemgen.h"
-#include "serve/query_engine.h"
+#include "server/sharded_engine.h"
+#include "test_util.h"
 
 namespace gdim {
 namespace {
+
+using testing_util::OfflinePrefilterTopK;
+using testing_util::OfflineTopK;
+
+/// The serving engine at one shard — the unsharded configuration.
+Result<ShardedEngine> OneShard(PersistedIndex index, ServeOptions serve = {}) {
+  return ShardedEngine::FromIndex(std::move(index),
+                                  {.num_shards = 1, .serve = serve});
+}
 
 TEST(PackedBitMatrixTest, RoundTripsBitsAcrossWordBoundaries) {
   Rng rng(3);
@@ -181,8 +191,7 @@ class QueryEngineTest : public ::testing::Test {
     gen.min_vertices = 8;
     gen.max_vertices = 14;
     db_ = new GraphDatabase(GenerateChemDatabase(gen));
-    // >= 64 queries so QueryBatch actually crosses ParallelFor's serial
-    // fallback threshold and the thread-determinism test spawns workers.
+    // 70 queries: several tiles per batch, one of them partial.
     queries_ = new GraphDatabase(GenerateChemQueries(gen, 70));
     IndexOptions opts;
     opts.mining.min_support = 0.15;
@@ -216,7 +225,7 @@ GraphDatabase* QueryEngineTest::queries_ = nullptr;
 PersistedIndex* QueryEngineTest::index_ = nullptr;
 
 TEST_F(QueryEngineTest, MatchesOfflineMappedRanking) {
-  auto engine = QueryEngine::FromIndex(*index_);
+  auto engine = OneShard(*index_);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   FeatureMapper mapper(index_->features);
   for (const Graph& q : *queries_) {
@@ -235,8 +244,8 @@ TEST_F(QueryEngineTest, BatchIsDeterministicAcrossThreadCounts) {
   one.threads = 1;
   ServeOptions eight;
   eight.threads = 8;
-  auto engine1 = QueryEngine::FromIndex(*index_, one);
-  auto engine8 = QueryEngine::FromIndex(*index_, eight);
+  auto engine1 = OneShard(*index_, one);
+  auto engine8 = OneShard(*index_, eight);
   ASSERT_TRUE(engine1.ok());
   ASSERT_TRUE(engine8.ok());
   ServeBatchReport report1, report8;
@@ -258,9 +267,9 @@ TEST_F(QueryEngineTest, BatchIsDeterministicAcrossThreadCounts) {
 TEST_F(QueryEngineTest, PrefilterNeverWidensAndKeepsOrder) {
   ServeOptions opts;
   opts.containment_prefilter = true;
-  auto engine = QueryEngine::FromIndex(*index_, opts);
+  auto engine = OneShard(*index_, opts);
   ASSERT_TRUE(engine.ok());
-  auto plain = QueryEngine::FromIndex(*index_);
+  auto plain = OneShard(*index_);
   ASSERT_TRUE(plain.ok());
   for (const Graph& q : *queries_) {
     ServeQueryStats stats;
@@ -299,7 +308,7 @@ TEST(QueryEnginePrefilterTest, NarrowedScanEqualsRestrictedFullRanking) {
   }
   ServeOptions opts;
   opts.containment_prefilter = true;
-  auto engine = QueryEngine::FromIndex(index, opts);
+  auto engine = OneShard(index, opts);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
   // Query with labels {0, 1}: candidates = graphs 0, 1, 2, 6.
@@ -329,7 +338,7 @@ TEST_F(QueryEngineTest, RejectsRaggedIndexRows) {
   PersistedIndex bad = *index_;
   ASSERT_FALSE(bad.db_bits.empty());
   bad.db_bits[0].pop_back();
-  auto engine = QueryEngine::FromIndex(std::move(bad));
+  auto engine = OneShard(std::move(bad));
   EXPECT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 }
@@ -435,7 +444,7 @@ TEST_F(QueryEngineTest, MutationSequenceMatchesFreshEngineAcrossThreads) {
       ServeOptions opts;
       opts.threads = threads;
       opts.containment_prefilter = prefilter;
-      auto engine = QueryEngine::FromIndex(*index_, opts);
+      auto engine = OneShard(*index_, opts);
       ASSERT_TRUE(engine.ok()) << engine.status().ToString();
       // This test body is the engine's single writer.
       ScopedRole writer(&engine->writer_role());
@@ -457,7 +466,7 @@ TEST_F(QueryEngineTest, MutationSequenceMatchesFreshEngineAcrossThreads) {
         shadow.Insert(mapper.Map(g));
       }
       engine->Compact();
-      EXPECT_EQ(engine->delta_rows(), 0);
+      EXPECT_EQ(engine->shard(0).delta_rows(), 0);
       EXPECT_EQ(engine->tombstoned_rows(), 0);
       for (int id : {0, 2, 40, 44}) {  // ids 40/44 came from the delta
         ASSERT_TRUE(engine->Remove(id).ok());
@@ -482,10 +491,11 @@ TEST_F(QueryEngineTest, MutationSequenceMatchesFreshEngineAcrossThreads) {
       // The invariant: bit-identical QueryBatch vs a fresh engine over the
       // equivalent database, after mapping the fresh engine's positional
       // ids through the live id list.
-      auto fresh =
-          QueryEngine::FromIndex(shadow.Equivalent(index_->features), opts);
+      auto fresh = OneShard(shadow.Equivalent(index_->features), opts);
       ASSERT_TRUE(fresh.ok());
       const std::vector<int> live_ids = shadow.ids();
+      std::vector<std::vector<uint8_t>> live_rows;
+      for (const auto& [id, bits] : shadow.rows) live_rows.push_back(bits);
       for (int k : {0, 3, 1000}) {
         std::vector<Ranking> expected = fresh->QueryBatch(*queries_, {.k = k});
         for (Ranking& ranking : expected) {
@@ -493,9 +503,19 @@ TEST_F(QueryEngineTest, MutationSequenceMatchesFreshEngineAcrossThreads) {
             r.id = live_ids[static_cast<size_t>(r.id)];
           }
         }
-        EXPECT_EQ(engine->QueryBatch(*queries_, {.k = k}), expected)
-            << "threads=" << threads << " prefilter=" << prefilter
-            << " k=" << k;
+        const std::vector<Ranking> got =
+            engine->QueryBatch(*queries_, {.k = k});
+        EXPECT_EQ(got, expected) << "threads=" << threads
+                                 << " prefilter=" << prefilter << " k=" << k;
+        // And the offline ranking over the shadow's live rows.
+        for (size_t i = 0; i < queries_->size(); ++i) {
+          const std::vector<uint8_t> fp = mapper.Map((*queries_)[i]);
+          EXPECT_EQ(got[i],
+                    prefilter ? OfflinePrefilterTopK(fp, live_rows, live_ids, k)
+                              : OfflineTopK(fp, live_rows, live_ids, k))
+              << "threads=" << threads << " prefilter=" << prefilter
+              << " k=" << k << " query " << i;
+        }
       }
 
       // And the same invariant again after a final compaction.
@@ -513,7 +533,7 @@ TEST_F(QueryEngineTest, MutationSequenceMatchesFreshEngineAcrossThreads) {
 }
 
 TEST_F(QueryEngineTest, NegativeKAnswersEmptyInsteadOfAborting) {
-  auto engine = QueryEngine::FromIndex(*index_);
+  auto engine = OneShard(*index_);
   ASSERT_TRUE(engine.ok());
   ServeQueryStats stats;
   EXPECT_TRUE(engine->Query((*queries_)[0], {.k = -3}, &stats).empty());
@@ -554,7 +574,7 @@ Graph LabelGraph(std::vector<LabelId> labels) {
 TEST(QueryEnginePrefilterTest, EmptyIntersectionFallsBackEvenAtKZero) {
   ServeOptions opts;
   opts.containment_prefilter = true;
-  auto engine = QueryEngine::FromIndex(LabelSetIndex(), opts);
+  auto engine = OneShard(LabelSetIndex(), opts);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
   // Labels {0, 4}: sup(0) ∩ sup(4) = ∅. A zero-row scan is not a narrowed
@@ -583,7 +603,7 @@ TEST(QueryEngineEmptyTest, EmptyDatabaseValidatesAndServes) {
   // packed matrix lost its width with no rows) and serve empty rankings.
   PersistedIndex index = LabelSetIndex();
   index.db_bits.clear();
-  auto engine = QueryEngine::FromIndex(index);
+  auto engine = OneShard(index);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_EQ(engine->num_graphs(), 0);
   EXPECT_EQ(engine->num_features(), 5);
@@ -610,13 +630,13 @@ TEST(QueryEngineEmptyTest, ZeroFeatureDimension) {
   // p = 0: every fingerprint is empty and every distance is 0; ranking
   // degenerates to ascending ids. n = 0 and n > 0 both serve.
   PersistedIndex empty;  // p = 0, n = 0
-  auto engine = QueryEngine::FromIndex(empty);
+  auto engine = OneShard(empty);
   ASSERT_TRUE(engine.ok());
   EXPECT_TRUE(engine->Query(LabelGraph({0}), {.k = 3}).empty());
 
   PersistedIndex degenerate;  // p = 0, n = 2
   degenerate.db_bits = {{}, {}};
-  auto engine2 = QueryEngine::FromIndex(degenerate);
+  auto engine2 = OneShard(degenerate);
   ASSERT_TRUE(engine2.ok());
   const Ranking got = engine2->Query(LabelGraph({0}), {.k = 5});
   ASSERT_EQ(got.size(), 2u);
@@ -626,7 +646,7 @@ TEST(QueryEngineEmptyTest, ZeroFeatureDimension) {
 }
 
 TEST(QueryEngineMutationTest, EpochBumpsOnMutationsOnly) {
-  auto engine = QueryEngine::FromIndex(LabelSetIndex());
+  auto engine = OneShard(LabelSetIndex());
   ASSERT_TRUE(engine.ok());
   ScopedRole writer(&engine->writer_role());
   EXPECT_EQ(engine->epoch(), 0u);
@@ -654,13 +674,13 @@ TEST(QueryEngineMutationTest, EpochBumpsOnMutationsOnly) {
 }
 
 TEST(QueryEngineMutationTest, FreezeCapturesStateImmuneToLaterMutations) {
-  auto engine = QueryEngine::FromIndex(LabelSetIndex());
+  auto engine = OneShard(LabelSetIndex());
   ASSERT_TRUE(engine.ok());
   ScopedRole writer(&engine->writer_role());
   ASSERT_TRUE(engine->Insert(LabelGraph({1, 2})).ok());  // delta row
   ASSERT_TRUE(engine->Remove(0).ok());
   const std::vector<int> ids_at_freeze = engine->alive_ids();
-  const FrozenEngineState frozen = engine->Freeze();
+  const FrozenShardedState frozen = engine->Freeze();
 
   // Mutate hard after the freeze: append, remove, and compact (which
   // replaces the sealed base the capture shares).
@@ -669,7 +689,7 @@ TEST(QueryEngineMutationTest, FreezeCapturesStateImmuneToLaterMutations) {
   engine->Compact();
 
   std::vector<int> frozen_ids;
-  for (const auto& [id, words] : frozen.LiveRowWords()) {
+  for (const auto& [id, words] : frozen.shards[0].LiveRowWords()) {
     frozen_ids.push_back(id);
     EXPECT_NE(words, nullptr);
   }
@@ -677,7 +697,7 @@ TEST(QueryEngineMutationTest, FreezeCapturesStateImmuneToLaterMutations) {
 }
 
 TEST(QueryEngineMutationTest, TombstonesNeverSurfaceWhenKExceedsLiveCount) {
-  auto engine = QueryEngine::FromIndex(LabelSetIndex());
+  auto engine = OneShard(LabelSetIndex());
   ASSERT_TRUE(engine.ok());
   ScopedRole writer(&engine->writer_role());
   ASSERT_TRUE(engine->Remove(0).ok());

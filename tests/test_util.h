@@ -2,9 +2,11 @@
 #define GDIM_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/random.h"
+#include "core/topk.h"
 #include "graph/graph.h"
 #include "graph/graph_utils.h"
 #include "isomorphism/vf2.h"
@@ -94,6 +96,48 @@ inline int BruteForceMcs(const Graph& a, const Graph& b) {
     if (BruteForceSubgraphIso(sub, big)) best = bits;
   }
   return best;
+}
+
+/// The offline answer every serving path must reproduce bit for bit:
+/// TopK(MappedRanking(query, rows)) with row i reported under ids[i]
+/// (positional ids when `ids` is empty). Negative k answers like 0.
+inline Ranking OfflineTopK(const std::vector<uint8_t>& query,
+                           const std::vector<std::vector<uint8_t>>& rows,
+                           const std::vector<int>& ids, int k) {
+  Ranking ranking = TopK(MappedRanking(query, rows), std::max(k, 0));
+  if (!ids.empty()) {
+    for (RankedResult& r : ranking) r.id = ids[static_cast<size_t>(r.id)];
+  }
+  return ranking;
+}
+
+/// OfflineTopK under the containment prefilter's global rule: when the rows
+/// holding every set bit of `query` are a non-empty set of at least k rows
+/// and fewer than all rows, rank only those; otherwise rank every row.
+/// *narrowed (optional) reports which side the rule took.
+inline Ranking OfflinePrefilterTopK(
+    const std::vector<uint8_t>& query,
+    const std::vector<std::vector<uint8_t>>& rows, const std::vector<int>& ids,
+    int k, bool* narrowed = nullptr) {
+  std::vector<std::vector<uint8_t>> kept;
+  std::vector<int> kept_ids;
+  const bool any_bit = std::any_of(query.begin(), query.end(),
+                                   [](uint8_t b) { return b != 0; });
+  for (size_t i = 0; any_bit && i < rows.size(); ++i) {
+    bool contains = true;
+    for (size_t r = 0; r < query.size() && contains; ++r) {
+      contains = query[r] == 0 || rows[i][r] != 0;
+    }
+    if (!contains) continue;
+    kept.push_back(rows[i]);
+    kept_ids.push_back(ids.empty() ? static_cast<int>(i) : ids[i]);
+  }
+  const bool narrow = !kept.empty() &&
+                      static_cast<int>(kept.size()) >= std::max(k, 0) &&
+                      kept.size() < rows.size();
+  if (narrowed != nullptr) *narrowed = narrow;
+  return narrow ? OfflineTopK(query, kept, kept_ids, k)
+                : OfflineTopK(query, rows, ids, k);
 }
 
 }  // namespace testing_util

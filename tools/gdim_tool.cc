@@ -8,7 +8,6 @@
 //   gdim_tool serve-net --index=index.idx --port=7411 --shards=4
 //                       [--queue=256 --cache-mb=64]
 //                       [--db=db.gdb --reindex-every=5000]
-//   gdim_tool bench-query --index=index.idx --queries=q.gdb [--repeat=R]
 //   gdim_tool update   --index=index.idx --out=index2.idx
 //                      [--insert=new.gdb --remove=3,17 --compact]
 //   gdim_tool convert  --in=index.idx --out=index.idx2 [--format=v2]
@@ -31,7 +30,6 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "common/parallel.h"
 #include "common/sync.h"
 #include "common/timer.h"
 #include "core/index.h"
@@ -60,7 +58,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: gdim_tool <generate|mine|build|query|serve|serve-net|"
-      "bench-query|update|convert|stats> [--flags]\n"
+      "update|convert|stats> [--flags]\n"
       "  generate --kind=chem|synthetic --n=N --out=FILE "
       "[--queries=M --queries-out=FILE --seed=S]\n"
       "  mine     --db=FILE --out=FILE [--minsup=0.05 --maxedges=7]\n"
@@ -74,8 +72,6 @@ int Usage() {
       "--prefilter --ivf-buckets=N --db=GRAPHS --reindex-every=N "
       "--reindex-selector=DSPMap --reindex-p=0 --reindex-minsup=0.05 "
       "--reindex-maxedges=7 --slow-query-usec=0]\n"
-      "  bench-query --index=FILE --queries=FILE [--k=10 --threads=N "
-      "--shards=N --prefilter --ivf-buckets=N --repeat=5]\n"
       "  update   --index=FILE --out=FILE [--insert=GRAPHS --remove=I,J,... "
       "--compact --format=v1|v2|v3]\n"
       "  convert  --in=FILE --out=FILE [--format=v1|v2|v3]\n"
@@ -247,7 +243,7 @@ int RunQuery(const Flags& flags) {
   return 0;
 }
 
-/// Serving flags shared by serve / serve-net / bench-query, validated.
+/// Serving flags shared by serve and serve-net, validated.
 Result<ShardedOptions> ShardedOptionsFromFlags(const Flags& flags) {
   ShardedOptions opts;
   Result<int> threads = ValidatedRange(flags, "threads", 0, 0, 256);
@@ -264,8 +260,8 @@ Result<ShardedOptions> ShardedOptionsFromFlags(const Flags& flags) {
   return opts;
 }
 
-/// Shared serve/bench-query setup: flag validation, engine load, query load.
-/// Returns 0 to proceed, otherwise the exit code to return.
+/// serve's setup: flag validation, engine load, query load. Returns 0 to
+/// proceed, otherwise the exit code to return.
 int LoadServeInputs(const Flags& flags, std::optional<ShardedEngine>* engine,
                     GraphDatabase* queries) {
   const std::string index_path = flags.GetString("index", "");
@@ -319,41 +315,6 @@ int RunServe(const Flags& flags) {
                     (static_cast<double>(engine->num_graphs()) *
                      static_cast<double>(results.size())));
   }
-  return 0;
-}
-
-int RunBenchQuery(const Flags& flags) {
-  std::optional<ShardedEngine> engine;
-  GraphDatabase queries;
-  if (int rc = LoadServeInputs(flags, &engine, &queries); rc != 0) return rc;
-  Result<int> k_flag = ValidatedK(flags);
-  if (!k_flag.ok()) return Fail(k_flag.status());
-  const int k = *k_flag;
-  Result<int> repeat_flag = ValidatedRange(flags, "repeat", 5, 1, 1000000);
-  if (!repeat_flag.ok()) return Fail(repeat_flag.status());
-  const int repeat = *repeat_flag;
-
-  // Warm-up pass, then timed repeats; report the aggregate distribution.
-  engine->QueryBatch(queries, {.k = k});
-  std::vector<double> batch_ms;
-  double best_qps = 0.0;
-  for (int rep = 0; rep < repeat; ++rep) {
-    ServeBatchReport report;
-    engine->QueryBatch(queries, {.k = k}, &report);
-    batch_ms.push_back(report.wall_ms);
-    best_qps = std::max(best_qps, report.qps);
-    std::printf("batch %d: %.1fms (%.0f qps, %s)\n", rep, report.wall_ms,
-                report.qps, FormatLatencySummaryMs(report.latency_ms).c_str());
-  }
-  LatencySummary batches = SummarizeLatencies(std::move(batch_ms));
-  std::printf(
-      "# %d x %zu queries, %d graphs x %d dims, %d shard(s), k=%d, "
-      "threads=%d: best %.0f qps, batch %s\n",
-      repeat, queries.size(), engine->num_graphs(), engine->num_features(),
-      engine->num_shards(), k,
-      engine->options().serve.threads > 0 ? engine->options().serve.threads
-                                          : DefaultThreadCount(),
-      best_qps, FormatLatencySummaryMs(batches).c_str());
   return 0;
 }
 
@@ -605,7 +566,9 @@ int RunUpdate(const Flags& flags) {
   Result<IndexFormat> format =
       ParseIndexFormat(flags.GetString("format", "v2"));
   if (!format.ok()) return Fail(format.status());
-  Result<QueryEngine> engine = QueryEngine::Open(index_path);
+  // One shard: update is an offline rewrite, and the engine carries the
+  // snapshot's dimension generation and epoch through to the output.
+  Result<ShardedEngine> engine = ShardedEngine::Open(index_path);
   if (!engine.ok()) return Fail(engine.status());
   // This single-threaded command is the engine's writer.
   ScopedRole writer(&engine->writer_role());
@@ -647,7 +610,7 @@ int RunUpdate(const Flags& flags) {
     const int reclaimed = engine->tombstoned_rows();
     engine->Compact();
     std::printf("compacted: reclaimed %d rows, %d live rows sealed\n",
-                reclaimed, engine->base_rows());
+                reclaimed, engine->shard(0).base_rows());
   }
   Status s = engine->Snapshot(out, *format);
   if (!s.ok()) return Fail(s);
@@ -655,8 +618,8 @@ int RunUpdate(const Flags& flags) {
       "updated %s: +%zu -%zu -> %d live graphs x %d dims "
       "(base %d + delta %d rows, %d tombstoned) -> %s\n",
       index_path.c_str(), inserted, removed, engine->num_graphs(),
-      engine->num_features(), engine->base_rows(), engine->delta_rows(),
-      engine->tombstoned_rows(), out.c_str());
+      engine->num_features(), engine->shard(0).base_rows(),
+      engine->shard(0).delta_rows(), engine->tombstoned_rows(), out.c_str());
   return 0;
 }
 
@@ -718,7 +681,6 @@ int Main(int argc, char** argv) {
   if (command == "query") return RunQuery(flags);
   if (command == "serve") return RunServe(flags);
   if (command == "serve-net") return RunServeNet(flags);
-  if (command == "bench-query") return RunBenchQuery(flags);
   if (command == "update") return RunUpdate(flags);
   if (command == "convert") return RunConvert(flags);
   if (command == "stats") return RunStats(flags);

@@ -12,7 +12,10 @@
 #     byte-identical to the pre-kill responses,
 #   - REINDEX still works, fed by the snapshot's own store section,
 #   - the restart log carries no degraded-format WARN (the v1 cold start
-#     in step 1 does WARN — the loud/quiet pair is asserted both ways).
+#     in step 1 does WARN — the loud/quiet pair is asserted both ways),
+#   - an offline `gdim_tool update --format=v3` of the snapshot keeps its
+#     dimension generation and moves its epoch strictly forward, as seen
+#     by a server restarted from the updated file.
 #
 # Usage: tools/restart_smoke.sh [build-dir]   (default: build)
 
@@ -120,6 +123,14 @@ if mode == "pre":
         out.write(kv["dimension_generation"] + "\n" + kv["epoch"] + "\n")
         for q in probes:
             out.write(req(q) + "\n")
+elif mode == "updated":
+    # The snapshot after an offline update: same generation, later epoch.
+    want = open(state).read().splitlines()
+    kv = stats()
+    assert kv["dimension_generation"] == want[0], (
+        f"generation lost across update: {kv['"'"'dimension_generation'"'"']} != {want[0]}")
+    assert int(kv["epoch"]) > int(want[1]), (
+        f"epoch did not advance across update: {kv['"'"'epoch'"'"']} <= {want[1]}")
 else:
     want = open(state).read().splitlines()
     kv = stats()
@@ -171,5 +182,15 @@ if grep -q 'WARN' "$TMP/serve2.log"; then
 fi
 
 python3 -c "$CLIENT" post "$SERVER_PORT" "$TMP/q.gdb" "$TMP/pre.txt"
+kill "$SERVER_PID"
+wait "$SERVER_PID" 2>/dev/null || true
+
+echo "restart_smoke: offline update of the snapshot, then a restart from it"
+# Id 0 was never removed above, so it is live in the snapshot.
+"$TOOL" update --index="$TMP/snap.idx2" --remove=0 --format=v3 \
+  --out="$TMP/updated.idx3"
+start_server "$TMP/serve3.log" --index="$TMP/updated.idx3" \
+  --shards=3 --cache-mb=16
+python3 -c "$CLIENT" updated "$SERVER_PORT" "$TMP/q.gdb" "$TMP/pre.txt"
 
 echo "restart_smoke: OK"
