@@ -1,6 +1,12 @@
 #include "core/index_io.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -8,6 +14,7 @@
 #include <new>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "core/packed_bits.h"
@@ -31,11 +38,6 @@ constexpr char kSectionDims[5] = "DIMS";
 constexpr char kSectionMeta[5] = "META";
 constexpr char kSectionStor[5] = "STOR";
 constexpr char kSectionIvfx[5] = "IVFX";
-
-template <typename T>
-void WritePod(std::ostream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
 
 template <typename T>
 bool ReadPod(std::istream& in, T* value) {
@@ -63,26 +65,6 @@ int FindRow(const std::vector<int>& ids, int id) {
   auto it = std::lower_bound(ids.begin(), ids.end(), id);
   if (it == ids.end() || *it != id) return -1;
   return static_cast<int>(it - ids.begin());
-}
-
-Status WriteIndexFileV1(const PersistedIndex& index, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out << kV1Magic << "\n";
-  out << "features " << index.features.size() << "\n";
-  WriteGraphStream(index.features, out);
-  const size_t p = index.features.size();
-  out << "vectors " << index.db_bits.size() << " " << p << "\n";
-  for (const auto& row : index.db_bits) {
-    if (row.size() != p) {
-      return Status::InvalidArgument("bit row width mismatch");
-    }
-    for (uint8_t b : row) out << (b ? '1' : '0');
-    out << "\n";
-  }
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
 }
 
 Result<PersistedIndex> ReadIndexFileV1(const std::string& path) {
@@ -503,24 +485,8 @@ Result<PackedIndex> ReadIndexFileV3Packed(const std::string& path) {
   return out;
 }
 
-/// Legacy byte-row view of a packed load: unpack the rows, drop the
-/// sections. Only the tool paths that manipulate rows as bytes (convert,
-/// tests) pay for this; the serving load path stays packed.
-Result<PersistedIndex> UnpackToBytes(Result<PackedIndex> packed) {
-  if (!packed.ok()) return packed.status();
-  PersistedIndex out;
-  out.features = std::move(packed->features);
-  out.db_bits.reserve(static_cast<size_t>(packed->rows.num_rows()));
-  for (int i = 0; i < packed->rows.num_rows(); ++i) {
-    out.db_bits.push_back(packed->rows.UnpackRow(i));
-  }
-  out.ids = std::move(packed->ids);
-  out.next_id = packed->next_id;
-  return out;
-}
-
-/// Shared v2/v3 writer-side validation of the row/id arguments. Returns the
-/// normalized next_id (-1 = derive resolved to one past the largest id).
+/// Writer-side validation of the row/id arguments. Returns the normalized
+/// next_id (-1 = derive resolved to one past the largest id).
 Result<int> ValidateRowIds(size_t p, uint64_t n, uint64_t words_per_row,
                            const std::vector<int>& ids, int next_id) {
   if (words_per_row != (p + 63) / 64) {
@@ -550,88 +516,158 @@ Result<int> ValidateRowIds(size_t p, uint64_t n, uint64_t words_per_row,
   return next_id;
 }
 
-/// Streams the dimension body (the v2 layout after its fixed header; the v3
-/// DIMS payload).
-void WriteDimsBody(std::ostream& out, size_t p, const std::string& feature_str,
+/// A file open for writing. It owns the descriptor (closed on every exit
+/// path), buffers writes, and remembers the first failed write(2), so the
+/// serializers stream without checking every call and the caller checks
+/// once, at Finish().
+class FileSink {
+ public:
+  explicit FileSink(int fd) : fd_(fd) {}
+  ~FileSink() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  FileSink(const FileSink&) = delete;
+  FileSink& operator=(const FileSink&) = delete;
+
+  void Write(const void* data, size_t len) {
+    if (len == 0) return;
+    if (buffer_.size() + len > kBufferBytes) Drain();
+    if (len >= kBufferBytes) {
+      WriteAll(static_cast<const char*>(data), len);
+    } else {
+      buffer_.append(static_cast<const char*>(data), len);
+    }
+  }
+
+  template <typename T>
+  void Pod(T value) {
+    Write(&value, sizeof(value));
+  }
+
+  /// Drains the buffer, fsyncs the file when `sync`, and closes it. Returns
+  /// 0, or the errno of the first failed write, fsync or close.
+  int Finish(bool sync) {
+    Drain();
+    if (error_ == 0 && sync && ::fsync(fd_) != 0) error_ = errno;
+    if (::close(fd_) != 0 && error_ == 0) error_ = errno;
+    fd_ = -1;
+    return error_;
+  }
+
+ private:
+  static constexpr size_t kBufferBytes = size_t{1} << 16;
+
+  void Drain() {
+    WriteAll(buffer_.data(), buffer_.size());
+    buffer_.clear();
+  }
+
+  void WriteAll(const char* data, size_t len) {
+    while (error_ == 0 && len > 0) {
+      const ssize_t wrote = ::write(fd_, data, len);
+      if (wrote < 0 && errno == EINTR) continue;
+      if (wrote <= 0) {
+        error_ = wrote < 0 ? errno : EIO;
+        return;
+      }
+      data += wrote;
+      len -= static_cast<size_t>(wrote);
+    }
+  }
+
+  int fd_;
+  std::string buffer_;
+  int error_ = 0;
+};
+
+Status IoFailure(const std::string& what, int err) {
+  return Status::IoError(what + ": " + std::generic_category().message(err));
+}
+
+/// The directory holding `path`, for the post-rename directory fsync.
+std::string DirectoryOf(const std::string& path) {
+  const size_t slash = path.rfind('/');
+  if (slash == std::string::npos) return ".";
+  return slash == 0 ? "/" : path.substr(0, slash);
+}
+
+/// Streams body's bytes to path with the durability contract documented at
+/// WriteIndexFileV3Words: a uniquely named temp file in the target's
+/// directory, fsynced and renamed over the target, then a directory fsync.
+Status WriteFileDurably(const std::string& path,
+                        const std::function<void(FileSink&)>& body) {
+  struct stat target = {};
+  if (::stat(path.c_str(), &target) == 0 && !S_ISREG(target.st_mode)) {
+    // A pipe or device has no file to replace; stream straight into it.
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+    if (fd < 0) return IoFailure("cannot open for writing: " + path, errno);
+    FileSink sink(fd);
+    body(sink);
+    const int err = sink.Finish(/*sync=*/false);
+    if (err != 0) return IoFailure("write failed: " + path, err);
+    return Status::OK();
+  }
+
+  // Unique per write, not just per process: two background SNAPSHOTs to the
+  // same path may overlap, and each must own its temp file. O_EXCL skips a
+  // name a crashed writer left behind, which recurs when the pid does (a
+  // container's server is often pid 1).
+  static std::atomic<uint64_t> next_temp{0};
+  std::string temp;
+  int fd = -1;
+  int err = 0;
+  const std::string prefix = path + ".tmp." + std::to_string(::getpid());
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    temp = prefix;
+    temp += '.';
+    temp += std::to_string(next_temp.fetch_add(1));
+    fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+    err = fd < 0 ? errno : 0;
+    if (err != EEXIST) break;
+  }
+  if (fd < 0) return IoFailure("cannot open for writing: " + path, err);
+  {
+    FileSink sink(fd);
+    body(sink);
+    err = sink.Finish(/*sync=*/true);
+  }
+  if (err == 0 && ::rename(temp.c_str(), path.c_str()) != 0) err = errno;
+  if (err != 0) {
+    ::unlink(temp.c_str());
+    return IoFailure("write failed: " + path, err);
+  }
+  // The rename itself is durable only once the directory entry is.
+  const int dir =
+      ::open(DirectoryOf(path).c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir < 0) return IoFailure("cannot open directory of " + path, errno);
+  err = FileSink(dir).Finish(/*sync=*/true);
+  if (err != 0) return IoFailure("cannot sync directory of " + path, err);
+  return Status::OK();
+}
+
+/// Streams the dimension body (the v3 DIMS payload, which is also the v2
+/// layout after its fixed header).
+void WriteDimsBody(FileSink& out, size_t p, const std::string& feature_str,
                    uint64_t n, uint64_t words_per_row,
                    const std::function<const uint64_t*(uint64_t)>& row_words,
                    const std::vector<int>& ids, int next_id) {
-  WritePod(out, static_cast<uint64_t>(p));
-  WritePod(out, static_cast<uint64_t>(feature_str.size()));
-  out.write(feature_str.data(),
-            static_cast<std::streamsize>(feature_str.size()));
-  WritePod(out, n);
-  WritePod(out, words_per_row);
-  WritePod(out, static_cast<uint64_t>(next_id));
+  out.Pod(static_cast<uint64_t>(p));
+  out.Pod(static_cast<uint64_t>(feature_str.size()));
+  out.Write(feature_str.data(), feature_str.size());
+  out.Pod(n);
+  out.Pod(words_per_row);
+  out.Pod(static_cast<uint64_t>(next_id));
   if (words_per_row > 0) {  // zero-width rows occupy no bytes
     for (uint64_t i = 0; i < n; ++i) {
-      out.write(
-          reinterpret_cast<const char*>(row_words(i)),
-          static_cast<std::streamsize>(words_per_row * sizeof(uint64_t)));
+      out.Write(row_words(i), words_per_row * sizeof(uint64_t));
     }
   }
   for (uint64_t i = 0; i < n; ++i) {
-    WritePod(out, ids.empty() ? i : static_cast<uint64_t>(ids[i]));
+    out.Pod(ids.empty() ? i : static_cast<uint64_t>(ids[i]));
   }
-}
-
-Status WriteIndexFileV2(const PersistedIndex& index, const std::string& path) {
-  const size_t p = index.features.size();
-  for (const auto& row : index.db_bits) {
-    if (row.size() != p) {
-      return Status::InvalidArgument("bit row width mismatch");
-    }
-  }
-  // Pack once through the canonical layout code and stream the row words.
-  const PackedBitMatrix packed =
-      PackedBitMatrix::FromRows(index.db_bits, static_cast<int>(p));
-  return WriteIndexFileV2Words(
-      index.features, index.db_bits.size(),
-      static_cast<uint64_t>(packed.words_per_row()),
-      [&](uint64_t i) { return packed.row(static_cast<int>(i)); }, index.ids,
-      index.next_id, path);
-}
-
-Status WriteIndexFileV3(const PersistedIndex& index, const std::string& path) {
-  const size_t p = index.features.size();
-  for (const auto& row : index.db_bits) {
-    if (row.size() != p) {
-      return Status::InvalidArgument("bit row width mismatch");
-    }
-  }
-  const PackedBitMatrix packed =
-      PackedBitMatrix::FromRows(index.db_bits, static_cast<int>(p));
-  return WriteIndexFileV3Words(
-      index.features, index.db_bits.size(),
-      static_cast<uint64_t>(packed.words_per_row()),
-      [&](uint64_t i) { return packed.row(static_cast<int>(i)); }, index.ids,
-      index.next_id, V3Sections{}, path);
 }
 
 }  // namespace
-
-Status WriteIndexFileV2Words(
-    const GraphDatabase& features, uint64_t n, uint64_t words_per_row,
-    const std::function<const uint64_t*(uint64_t)>& row_words,
-    const std::vector<int>& ids, int next_id, const std::string& path) {
-  const size_t p = features.size();
-  Result<int> normalized = ValidateRowIds(p, n, words_per_row, ids, next_id);
-  if (!normalized.ok()) return normalized.status();
-  std::ostringstream feature_text;
-  WriteGraphStream(features, feature_text);
-  const std::string feature_str = feature_text.str();
-
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out.write(kV2Magic, sizeof(kV2Magic));
-  WritePod(out, kV2HeaderVersion);
-  WritePod(out, kV2EndianTag);
-  WriteDimsBody(out, p, feature_str, n, words_per_row, row_words, ids,
-                *normalized);
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
 
 Status WriteIndexFileV3Words(
     const GraphDatabase& features, uint64_t n, uint64_t words_per_row,
@@ -708,94 +744,65 @@ Status WriteIndexFileV3Words(
   std::ostringstream feature_text;
   WriteGraphStream(features, feature_text);
   const std::string feature_str = feature_text.str();
-
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out.write(kV3Magic, sizeof(kV3Magic));
-  WritePod(out, kV3HeaderVersion);
-  WritePod(out, kV2EndianTag);
-
-  // DIMS — always present, always first (readers validate later sections
-  // against its id block).
-  const uint64_t dims_len =
-      16 + feature_str.size() + 24 + n * words_per_row * 8 + n * 8;
-  out.write(kSectionDims, 4);
-  WritePod(out, dims_len);
-  WriteDimsBody(out, p, feature_str, n, words_per_row, row_words, ids,
-                *normalized);
-
-  if (sections.meta != nullptr) {
-    out.write(kSectionMeta, 4);
-    WritePod(out, static_cast<uint64_t>(16));
-    WritePod(out, sections.meta->generation);
-    WritePod(out, sections.meta->epoch);
-  }
-
+  std::string store_str;
   if (sections.store_ids != nullptr) {
     std::ostringstream store_text;
     WriteGraphStream(*sections.store_graphs, store_text);
-    const std::string store_str = store_text.str();
-    const uint64_t store_len = 8 + n * 8 + 8 + store_str.size();
-    out.write(kSectionStor, 4);
-    WritePod(out, store_len);
-    WritePod(out, n);
-    for (uint64_t i = 0; i < n; ++i) {
-      WritePod(out,
-               static_cast<uint64_t>((*sections.store_ids)[
-                   static_cast<size_t>(i)]));
-    }
-    WritePod(out, static_cast<uint64_t>(store_str.size()));
-    out.write(store_str.data(),
-              static_cast<std::streamsize>(store_str.size()));
+    store_str = store_text.str();
   }
 
-  if (sections.ivf != nullptr) {
-    uint64_t ivf_len = 24;
-    for (const PersistedIvfBucket& bucket : sections.ivf->buckets) {
-      ivf_len += words_per_row * 8 + 8 + bucket.ids.size() * 8;
+  return WriteFileDurably(path, [&](FileSink& out) {
+    out.Write(kV3Magic, sizeof(kV3Magic));
+    out.Pod(kV3HeaderVersion);
+    out.Pod(kV2EndianTag);
+
+    // DIMS — always present, always first (readers validate later sections
+    // against its id block).
+    const uint64_t dims_len =
+        16 + feature_str.size() + 24 + n * words_per_row * 8 + n * 8;
+    out.Write(kSectionDims, 4);
+    out.Pod(dims_len);
+    WriteDimsBody(out, p, feature_str, n, words_per_row, row_words, ids,
+                  *normalized);
+
+    if (sections.meta != nullptr) {
+      out.Write(kSectionMeta, 4);
+      out.Pod(uint64_t{16});
+      out.Pod(sections.meta->generation);
+      out.Pod(sections.meta->epoch);
     }
-    out.write(kSectionIvfx, 4);
-    WritePod(out, ivf_len);
-    WritePod(out, static_cast<uint64_t>(sections.ivf->buckets.size()));
-    WritePod(out, static_cast<uint64_t>(p));
-    WritePod(out, words_per_row);
-    for (const PersistedIvfBucket& bucket : sections.ivf->buckets) {
-      if (words_per_row > 0) {
-        out.write(
-            reinterpret_cast<const char*>(bucket.centroid_words.data()),
-            static_cast<std::streamsize>(words_per_row * sizeof(uint64_t)));
+
+    if (sections.store_ids != nullptr) {
+      out.Write(kSectionStor, 4);
+      out.Pod(8 + n * 8 + 8 + static_cast<uint64_t>(store_str.size()));
+      out.Pod(n);
+      for (const int id : *sections.store_ids) {
+        out.Pod(static_cast<uint64_t>(id));
       }
-      WritePod(out, static_cast<uint64_t>(bucket.ids.size()));
-      for (const int id : bucket.ids) {
-        WritePod(out, static_cast<uint64_t>(id));
+      out.Pod(static_cast<uint64_t>(store_str.size()));
+      out.Write(store_str.data(), store_str.size());
+    }
+
+    if (sections.ivf != nullptr) {
+      uint64_t ivf_len = 24;
+      for (const PersistedIvfBucket& bucket : sections.ivf->buckets) {
+        ivf_len += words_per_row * 8 + 8 + bucket.ids.size() * 8;
+      }
+      out.Write(kSectionIvfx, 4);
+      out.Pod(ivf_len);
+      out.Pod(static_cast<uint64_t>(sections.ivf->buckets.size()));
+      out.Pod(static_cast<uint64_t>(p));
+      out.Pod(words_per_row);
+      for (const PersistedIvfBucket& bucket : sections.ivf->buckets) {
+        out.Write(bucket.centroid_words.data(),
+                  words_per_row * sizeof(uint64_t));
+        out.Pod(static_cast<uint64_t>(bucket.ids.size()));
+        for (const int id : bucket.ids) {
+          out.Pod(static_cast<uint64_t>(id));
+        }
       }
     }
-  }
-
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
-Result<IndexFormat> ParseIndexFormat(const std::string& name) {
-  if (name == "v1") return IndexFormat::kV1Text;
-  if (name == "v2") return IndexFormat::kV2Binary;
-  if (name == "v3") return IndexFormat::kV3Sectioned;
-  return Status::InvalidArgument("unknown index format '" + name +
-                                 "' (want v1, v2, or v3)");
-}
-
-Status WriteIndexFile(const PersistedIndex& index, const std::string& path,
-                      IndexFormat format) {
-  switch (format) {
-    case IndexFormat::kV1Text:
-      return WriteIndexFileV1(index, path);
-    case IndexFormat::kV2Binary:
-      return WriteIndexFileV2(index, path);
-    case IndexFormat::kV3Sectioned:
-      return WriteIndexFileV3(index, path);
-  }
-  return Status::InvalidArgument("unknown index format");
+  });
 }
 
 namespace {
@@ -820,33 +827,13 @@ Result<SniffedFormat> SniffFormat(const std::string& path) {
 
 }  // namespace
 
-Result<PersistedIndex> ReadIndexFile(const std::string& path) {
+Result<PackedIndex> ReadIndexFilePacked(const std::string& path) {
   Result<SniffedFormat> format = SniffFormat(path);
   if (!format.ok()) return format.status();
   // Backstop for header fields the size checks cannot bound (e.g. a v1
   // 'vectors <n>' count or a v2 row count at p == 0, where rows occupy no
   // file bytes): a hostile count must surface as a Status, not terminate
   // the process through an uncaught allocation failure.
-  try {
-    switch (*format) {
-      case SniffedFormat::kV2:
-        return UnpackToBytes(ReadIndexFileV2Packed(path));
-      case SniffedFormat::kV3:
-        return UnpackToBytes(ReadIndexFileV3Packed(path));
-      case SniffedFormat::kV1:
-        break;
-    }
-    return ReadIndexFileV1(path);
-  } catch (const std::bad_alloc&) {
-    return Status::ResourceExhausted("index too large to load: " + path);
-  } catch (const std::length_error&) {
-    return Status::ResourceExhausted("index too large to load: " + path);
-  }
-}
-
-Result<PackedIndex> ReadIndexFilePacked(const std::string& path) {
-  Result<SniffedFormat> format = SniffFormat(path);
-  if (!format.ok()) return format.status();
   try {
     switch (*format) {
       case SniffedFormat::kV2:

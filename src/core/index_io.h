@@ -13,13 +13,13 @@
 
 namespace gdim {
 
-/// On-disk form of a built graph dimension: the selected feature graphs plus
-/// the mapped binary database vectors. Lets an application build once
-/// (mining + MCS + selection are the expensive part) and serve queries from
-/// a cold start. Three versioned formats share one reader (ReadIndexFile
-/// sniffs the magic):
+/// The persisted index: the selected feature graphs plus the mapped binary
+/// database vectors. Lets an application build once (mining + MCS +
+/// selection are the expensive part) and serve queries from a cold start.
+/// One writer, WriteIndexFileV3Words, emits v3 only; the reader,
+/// ReadIndexFilePacked, sniffs the magic and still loads all three versions:
 ///
-/// v1 — human-readable text, parsed digit by digit:
+/// v1 — human-readable text, parsed digit by digit (read only):
 ///
 ///   gdim-index v1
 ///   features <p>
@@ -27,7 +27,8 @@ namespace gdim {
 ///   vectors <n> <p>
 ///   <n lines of 0/1 digits>
 ///
-/// v2 — binary snapshot, loaded in O(read) (no per-bit text parsing):
+/// v2 — binary snapshot, loaded in O(read) (no per-bit text parsing; read
+/// only):
 ///
 ///   bytes 0..7   magic "GDIMIDX2"
 ///   u32          header version (2)
@@ -84,17 +85,20 @@ namespace gdim {
 /// packed words of the serving scan layout, so a snapshot load is a block
 /// read instead of an O(n·p) character parse. The id block is what keeps
 /// external ids stable across a snapshot/reload cycle of a mutated engine
-/// (v1 cannot carry ids and renumbers rows positionally on save).
+/// (v1 cannot carry ids: its rows are positional).
+///
+/// PersistedIndex is the in-memory byte-row form of the same data: what a
+/// fresh build hands ShardedEngine::FromIndex, and what
+/// ShardedEngine::ToPersistedIndex returns.
 struct PersistedIndex {
   GraphDatabase features;
   std::vector<std::vector<uint8_t>> db_bits;
   /// External graph id per row, strictly ascending. Empty means positional
-  /// (row i has id i): the v1 reader and fresh builds leave it empty; the
-  /// v2/v3 readers always fill it.
+  /// (row i has id i), as in a fresh build.
   std::vector<int> ids;
-  /// The id the next inserted graph gets. -1 (v1 files, fresh builds) means
-  /// "derive": one past the largest persisted id. v2/v3 persist the counter
-  /// so a snapshot/reload cycle never re-issues a removed graph's id.
+  /// The id the next inserted graph gets. -1 (fresh builds) means
+  /// "derive": one past the largest id. v2/v3 files persist the counter so
+  /// a snapshot/reload cycle never re-issues a removed graph's id.
   int next_id = -1;
 };
 
@@ -131,9 +135,9 @@ struct PersistedIvf {
 /// files the word block is adopted wholesale — one block read, no
 /// unpack-to-bytes detour — which is what makes a cold engine start O(read)
 /// on large databases. v1 text files are packed row by row on load. Id
-/// semantics match PersistedIndex. The optional fields carry the v3
-/// sections when the file has them (v1/v2 loads leave them empty); the
-/// byte-view ReadIndexFile drops them.
+/// semantics match PersistedIndex (a v1 load leaves ids empty and next_id
+/// -1). The optional fields carry the v3 sections when the file has them
+/// (v1/v2 loads leave them empty).
 struct PackedIndex {
   GraphDatabase features;
   PackedBitMatrix rows;
@@ -143,33 +147,6 @@ struct PackedIndex {
   std::optional<PersistedStore> store;
   std::optional<PersistedIvf> ivf;
 };
-
-/// On-disk format selector for WriteIndexFile.
-enum class IndexFormat {
-  kV1Text,
-  kV2Binary,
-  kV3Sectioned,
-};
-
-/// Parses "v1"/"v2"/"v3" (case-sensitive) into an IndexFormat.
-Result<IndexFormat> ParseIndexFormat(const std::string& name);
-
-/// Writes the dimension + mapped vectors to path in the given format.
-/// kV3Sectioned writes a DIMS-only v3 file; the streaming
-/// WriteIndexFileV3Words is the way to persist the optional sections.
-Status WriteIndexFile(const PersistedIndex& index, const std::string& path,
-                      IndexFormat format = IndexFormat::kV1Text);
-
-/// Streaming v2 writer: emits n rows of words_per_row packed words obtained
-/// from row_words(i) — already in the scan layout — without materializing
-/// byte vectors. words_per_row must equal ceil(features.size() / 64); ids
-/// must be strictly ascending with n entries, or empty for positional
-/// (0..n-1); next_id must exceed every id (-1 = derive). Used by
-/// ShardedEngine::Snapshot to dump packed segments directly.
-Status WriteIndexFileV2Words(
-    const GraphDatabase& features, uint64_t n, uint64_t words_per_row,
-    const std::function<const uint64_t*(uint64_t)>& row_words,
-    const std::vector<int>& ids, int next_id, const std::string& path);
 
 /// The optional v3 sections, borrowed for the duration of a
 /// WriteIndexFileV3Words call. store_ids/store_graphs come as a pair (the
@@ -182,21 +159,29 @@ struct V3Sections {
   const PersistedIvf* ivf = nullptr;
 };
 
-/// Streaming v3 writer: the v2 row/id contract plus the optional sections.
-/// The writer mirrors every reader-side check (store ids must equal the
-/// index ids; IVF buckets must be non-empty, ascending, and cover the ids
-/// exactly once) so it can never emit a file its own reader refuses.
+/// The one index-file writer: streams n rows of words_per_row packed words,
+/// obtained from row_words(i) in the scan layout, plus the optional
+/// sections into a v3 file. words_per_row must equal
+/// ceil(features.size() / 64); ids must be strictly ascending with n
+/// entries, or empty for positional (0..n-1); next_id must exceed every id
+/// (-1 = derive). The writer mirrors every reader-side check (store ids
+/// must equal the index ids; IVF buckets must be non-empty, ascending, and
+/// cover the ids exactly once) so it can never emit a file its own reader
+/// refuses.
+///
+/// The write is durable and atomic for a regular-file target: the bytes go
+/// to a temp file with a unique name in the target's directory, every write
+/// is checked, the temp file is fsynced and renamed over the target, and
+/// the directory is fsynced. On any failure the temp file is unlinked and
+/// the old target is untouched, so a reader sees either the old file or the
+/// new one, never a torn one. A target that exists and is not a regular
+/// file (a FIFO, a device) is streamed into directly: there is no file to
+/// replace.
 Status WriteIndexFileV3Words(
     const GraphDatabase& features, uint64_t n, uint64_t words_per_row,
     const std::function<const uint64_t*(uint64_t)>& row_words,
     const std::vector<int>& ids, int next_id, const V3Sections& sections,
     const std::string& path);
-
-/// Reads a persisted index of any format (sniffed from the magic);
-/// validates shape and bit values. v3 section payloads beyond the
-/// dimension itself are validated but dropped — use ReadIndexFilePacked to
-/// consume them.
-Result<PersistedIndex> ReadIndexFile(const std::string& path);
 
 /// Reads a persisted index of any format straight into the packed scan
 /// layout. For v2/v3 files the vector block is a single block read into the

@@ -366,26 +366,8 @@ PersistedIndex ShardedEngine::ToPersistedIndex() const {
   return index;
 }
 
-Status ShardedEngine::Snapshot(const std::string& path,
-                               IndexFormat format) const {
-  if (format == IndexFormat::kV3Sectioned) {
-    // The synchronous v3 path is the asynchronous one run inline, so both
-    // are one code path: freeze (cheap), then stream the capture.
-    return WriteSnapshot(Freeze(), path);
-  }
-  if (format == IndexFormat::kV2Binary) {
-    // Compatibility escape hatch: the merged live rows in global id order,
-    // word-level, without the v3 sections.
-    const FrozenShardedState frozen = Freeze();
-    const std::vector<std::pair<int, const uint64_t*>> live =
-        LiveRowsById(frozen.shards);
-    return WriteIndexFileV2Words(
-        frozen.features, static_cast<uint64_t>(live.size()),
-        static_cast<uint64_t>(frozen.words_per_row),
-        [&](uint64_t i) { return live[i].second; }, IdsOf(live),
-        frozen.next_id, path);
-  }
-  return WriteIndexFile(ToPersistedIndex(), path, format);
+Status ShardedEngine::Snapshot(const std::string& path) const {
+  return WriteSnapshot(Freeze(), path);
 }
 
 FrozenShardedState ShardedEngine::Freeze() const {

@@ -109,8 +109,8 @@ class ShardedEngine {
   static Result<ShardedEngine> FromPacked(PackedIndex index,
                                           ShardedOptions options = {});
 
-  /// Loads the index file at path (v2 through the direct packed-words
-  /// path) and partitions it.
+  /// Loads the index file at path (any readable version, through
+  /// ReadIndexFilePacked) and partitions it.
   static Result<ShardedEngine> Open(const std::string& index_path,
                                     ShardedOptions options = {});
 
@@ -197,19 +197,12 @@ class ShardedEngine {
   /// from this answers queries bit-identically.
   PersistedIndex ToPersistedIndex() const;
 
-  /// Writes the merged live state to one index file, shard-count
-  /// independent. v2/v3 stream each shard's packed rows in global id order
-  /// (word-level, no byte materialization); a reload with any shard count
-  /// keeps serving the same ids. The v3 default additionally persists the
-  /// dimension generation, mutation epoch, and every shard's IVF layout
-  /// (external-id postings), so a reload resumes serving without the
-  /// O(n·sqrt(n)) IVF rebuild. Synchronous Freeze+write, so it carries
-  /// Freeze's ordering contract. The engine has no graph store, so the STOR
-  /// section is never written here — the executor's snapshot path is the
-  /// one that attaches it.
-  Status Snapshot(const std::string& path,
-                  IndexFormat format = IndexFormat::kV3Sectioned) const
-      GDIM_REQUIRES(writer_role_);
+  /// Writes the merged live state to one v3 index file:
+  /// WriteSnapshot(Freeze(), path), run inline, so it carries Freeze's
+  /// ordering contract. The engine has no graph store, so the STOR section
+  /// is never written here — callers that hold one attach it to the frozen
+  /// capture and call WriteSnapshot themselves.
+  Status Snapshot(const std::string& path) const GDIM_REQUIRES(writer_role_);
 
   /// Captures all shards for asynchronous snapshotting: sealed bases are
   /// cloned by refcount, deltas/tombstones/ids copied — a bounded pause
@@ -224,8 +217,10 @@ class ShardedEngine {
   /// shares everything it reads. The file carries DIMS (the merged live
   /// rows in global id order), META (generation + epoch), the shards' live
   /// IVF postings lifted to external ids (IVFX, in shard order), and —
-  /// when the capture has one — the frozen graph store (STOR).
-  /// Snapshot(path, kV3Sectioned) is WriteSnapshot(Freeze(), path).
+  /// when the capture has one — the frozen graph store (STOR). A reload
+  /// with any shard count keeps serving the same ids, and skips the
+  /// O(n·sqrt(n)) IVF rebuild. The only path that writes an index file;
+  /// see WriteIndexFileV3Words for its durability contract.
   static Status WriteSnapshot(const FrozenShardedState& frozen,
                               const std::string& path);
 

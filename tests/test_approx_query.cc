@@ -460,7 +460,7 @@ TEST(ApproxQueryTest, FusedSelectionMatchesReferenceUnderChurn) {
       // its base out afresh, yet answers exactly like the live engine.
       // Buckets emptied by removals are not persisted; only when none was
       // can the default probe width pick the same buckets.
-      ASSERT_TRUE(engine->Snapshot(path, IndexFormat::kV3Sectioned).ok());
+      ASSERT_TRUE(engine->Snapshot(path).ok());
       auto reloaded = ShardedEngine::Open(path, opts);
       ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
       ScopedRole reloaded_writer(&reloaded->writer_role());
@@ -526,7 +526,7 @@ TEST(ApproxQueryTest, IdOrderedViewsAscendAcrossBucketLayouts) {
 
   const std::string path =
       ::testing::TempDir() + "/gdim_id_order_snapshot.idx3";
-  ASSERT_TRUE(built->Snapshot(path, IndexFormat::kV3Sectioned).ok());
+  ASSERT_TRUE(built->Snapshot(path).ok());
   auto adopted = ShardedEngine::Open(path);
   ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
   expect_ascending(*adopted);

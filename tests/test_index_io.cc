@@ -1,3 +1,10 @@
+#include <dirent.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <csignal>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -19,6 +26,12 @@
 namespace gdim {
 namespace {
 
+using testing_util::ReadIndexFileBytes;
+using testing_util::WriteV1IndexFile;
+using testing_util::WriteV2IndexFile;
+using testing_util::WriteV2IndexFileWords;
+using testing_util::WriteV3IndexFile;
+
 PersistedIndex SmallIndex() {
   PersistedIndex p;
   Graph f;
@@ -36,8 +49,8 @@ PersistedIndex SmallIndex() {
 TEST(IndexIoTest, RoundTrip) {
   PersistedIndex p = SmallIndex();
   std::string path = ::testing::TempDir() + "/gdim_index_test.idx";
-  ASSERT_TRUE(WriteIndexFile(p, path).ok());
-  Result<PersistedIndex> back = ReadIndexFile(path);
+  ASSERT_TRUE(WriteV1IndexFile(p, path).ok());
+  Result<PersistedIndex> back = ReadIndexFileBytes(path);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   ASSERT_EQ(back->features.size(), 2u);
   EXPECT_EQ(back->features[0], p.features[0]);
@@ -51,22 +64,28 @@ TEST(IndexIoTest, RejectsBadMagic) {
     std::ofstream out(path);
     out << "not-an-index\n";
   }
-  Result<PersistedIndex> r = ReadIndexFile(path);
+  Result<PackedIndex> r = ReadIndexFilePacked(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kParseError);
 }
 
 TEST(IndexIoTest, RejectsWidthMismatch) {
-  PersistedIndex p = SmallIndex();
-  p.db_bits.push_back({1});  // ragged row
-  std::string path = ::testing::TempDir() + "/gdim_ragged.idx";
-  EXPECT_FALSE(WriteIndexFile(p, path).ok());
+  // Two features need one word per row; the writer refuses a two-word
+  // stride.
+  const PersistedIndex p = SmallIndex();
+  const std::vector<uint64_t> row = {0, 0};
+  const std::string path = ::testing::TempDir() + "/gdim_ragged.idx";
+  EXPECT_EQ(WriteIndexFileV3Words(
+                p.features, 1, 2, [&](uint64_t) { return row.data(); }, {},
+                -1, V3Sections{}, path)
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(IndexIoTest, RejectsCorruptVectorRow) {
   PersistedIndex p = SmallIndex();
   std::string path = ::testing::TempDir() + "/gdim_corrupt.idx";
-  ASSERT_TRUE(WriteIndexFile(p, path).ok());
+  ASSERT_TRUE(WriteV1IndexFile(p, path).ok());
   // Append garbage by truncating a row: rewrite with a broken line.
   std::string text;
   {
@@ -81,12 +100,12 @@ TEST(IndexIoTest, RejectsCorruptVectorRow) {
     std::ofstream out(path);
     out << text;
   }
-  EXPECT_FALSE(ReadIndexFile(path).ok());
+  EXPECT_FALSE(ReadIndexFilePacked(path).ok());
 }
 
 TEST(IndexIoTest, MissingFile) {
-  EXPECT_FALSE(ReadIndexFile("/no/such/dir/x.idx").ok());
-  EXPECT_FALSE(WriteIndexFile(SmallIndex(), "/no/such/dir/x.idx").ok());
+  EXPECT_FALSE(ReadIndexFilePacked("/no/such/dir/x.idx").ok());
+  EXPECT_FALSE(WriteV3IndexFile(SmallIndex(), "/no/such/dir/x.idx").ok());
 }
 
 std::string Slurp(const std::string& path) {
@@ -104,7 +123,7 @@ void Spit(const std::string& path, const std::string& text) {
 TEST(IndexIoTest, ReadsCrlfTextIndexes) {
   PersistedIndex p = SmallIndex();
   const std::string path = ::testing::TempDir() + "/gdim_crlf.idx";
-  ASSERT_TRUE(WriteIndexFile(p, path).ok());
+  ASSERT_TRUE(WriteV1IndexFile(p, path).ok());
   // Simulate a Windows checkout / CRLF transfer of the whole file — the
   // magic line, the feature graph lines, and every vector row.
   std::string text = Slurp(path);
@@ -114,7 +133,7 @@ TEST(IndexIoTest, ReadsCrlfTextIndexes) {
     crlf += c;
   }
   Spit(path, crlf);
-  Result<PersistedIndex> back = ReadIndexFile(path);
+  Result<PersistedIndex> back = ReadIndexFileBytes(path);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->features.size(), p.features.size());
   EXPECT_EQ(back->features[0], p.features[0]);
@@ -134,21 +153,36 @@ PersistedIndex RandomIndex(int n, int p, Rng* rng) {
   return index;
 }
 
+/// The three on-disk versions. v1 and v2 are written by the test-side
+/// writers in test_util.h, v3 by the production writer.
+enum class Version { kV1, kV2, kV3 };
+constexpr Version kAllVersions[] = {Version::kV1, Version::kV2, Version::kV3};
+
+Status WriteVersion(Version version, const PersistedIndex& index,
+                    const std::string& path) {
+  switch (version) {
+    case Version::kV1:
+      return WriteV1IndexFile(index, path);
+    case Version::kV2:
+      return WriteV2IndexFile(index, path);
+    case Version::kV3:
+      return WriteV3IndexFile(index, path);
+  }
+  return Status::InvalidArgument("unknown version");
+}
+
 TEST(IndexIoTest, AllFormatsRoundTripAcrossShapes) {
   Rng rng(17);
   // Widths straddle word boundaries; n = 0 exercises empty databases.
   for (int p : {0, 1, 63, 64, 65, 130}) {
     for (int n : {0, 1, 17}) {
       const PersistedIndex index = RandomIndex(n, p, &rng);
-      for (IndexFormat format :
-           {IndexFormat::kV1Text, IndexFormat::kV2Binary,
-            IndexFormat::kV3Sectioned}) {
+      for (Version version : kAllVersions) {
         const std::string path = ::testing::TempDir() + "/gdim_rt_" +
                                  std::to_string(p) + "_" + std::to_string(n) +
-                                 (format == IndexFormat::kV1Text ? ".idx"
-                                                                 : ".idx2");
-        ASSERT_TRUE(WriteIndexFile(index, path, format).ok());
-        Result<PersistedIndex> back = ReadIndexFile(path);
+                                 (version == Version::kV1 ? ".idx" : ".idx2");
+        ASSERT_TRUE(WriteVersion(version, index, path).ok());
+        Result<PersistedIndex> back = ReadIndexFileBytes(path);
         ASSERT_TRUE(back.ok())
             << "p=" << p << " n=" << n << ": " << back.status().ToString();
         EXPECT_EQ(back->features, index.features);
@@ -164,15 +198,15 @@ TEST(IndexIoTest, ConvertV1ToV2AndBackIsLossless) {
   const std::string v1 = ::testing::TempDir() + "/gdim_conv.idx";
   const std::string v2 = ::testing::TempDir() + "/gdim_conv.idx2";
   const std::string v1_again = ::testing::TempDir() + "/gdim_conv2.idx";
-  ASSERT_TRUE(WriteIndexFile(index, v1, IndexFormat::kV1Text).ok());
-  // v1 -> v2 (what `gdim_tool convert` does).
-  Result<PersistedIndex> from_v1 = ReadIndexFile(v1);
+  ASSERT_TRUE(WriteV1IndexFile(index, v1).ok());
+  // v1 -> v2: what the v1 reader returns, written back out as v2.
+  Result<PersistedIndex> from_v1 = ReadIndexFileBytes(v1);
   ASSERT_TRUE(from_v1.ok());
-  ASSERT_TRUE(WriteIndexFile(*from_v1, v2, IndexFormat::kV2Binary).ok());
+  ASSERT_TRUE(WriteV2IndexFile(*from_v1, v2).ok());
   // v2 -> v1 again.
-  Result<PersistedIndex> from_v2 = ReadIndexFile(v2);
+  Result<PersistedIndex> from_v2 = ReadIndexFileBytes(v2);
   ASSERT_TRUE(from_v2.ok());
-  ASSERT_TRUE(WriteIndexFile(*from_v2, v1_again, IndexFormat::kV1Text).ok());
+  ASSERT_TRUE(WriteV1IndexFile(*from_v2, v1_again).ok());
   EXPECT_EQ(from_v2->db_bits, index.db_bits);
   EXPECT_EQ(from_v2->features, index.features);
   // The two text files are byte-identical: nothing was lost in the middle.
@@ -183,24 +217,28 @@ TEST(IndexIoTest, V2RejectsTruncationAndTrailingGarbage) {
   Rng rng(29);
   const PersistedIndex index = RandomIndex(8, 65, &rng);
   const std::string path = ::testing::TempDir() + "/gdim_v2_corrupt.idx2";
-  ASSERT_TRUE(WriteIndexFile(index, path, IndexFormat::kV2Binary).ok());
+  ASSERT_TRUE(WriteV2IndexFile(index, path).ok());
   const std::string good = Slurp(path);
 
   Spit(path, good.substr(0, good.size() - 5));  // truncated word block
-  EXPECT_EQ(ReadIndexFile(path).status().code(), StatusCode::kParseError);
+  EXPECT_EQ(ReadIndexFilePacked(path).status().code(),
+            StatusCode::kParseError);
 
   Spit(path, good + "junk");  // trailing garbage
-  EXPECT_EQ(ReadIndexFile(path).status().code(), StatusCode::kParseError);
+  EXPECT_EQ(ReadIndexFilePacked(path).status().code(),
+            StatusCode::kParseError);
 
   std::string flipped = good;
   flipped[9] ^= 0x40;  // header version field
   Spit(path, flipped);
-  EXPECT_EQ(ReadIndexFile(path).status().code(), StatusCode::kParseError);
+  EXPECT_EQ(ReadIndexFilePacked(path).status().code(),
+            StatusCode::kParseError);
 
   flipped = good;
   flipped[13] ^= 0xFF;  // endianness tag
   Spit(path, flipped);
-  EXPECT_EQ(ReadIndexFile(path).status().code(), StatusCode::kParseError);
+  EXPECT_EQ(ReadIndexFilePacked(path).status().code(),
+            StatusCode::kParseError);
 
   // Hostile header counts must come back as a Status, not a crash: a
   // feature-section length far beyond the file, and a huge row count on a
@@ -208,7 +246,8 @@ TEST(IndexIoTest, V2RejectsTruncationAndTrailingGarbage) {
   flipped = good;
   flipped[30] = 0x7F;  // feature_bytes (u64 at offset 24) -> ~2^55
   Spit(path, flipped);
-  EXPECT_EQ(ReadIndexFile(path).status().code(), StatusCode::kParseError);
+  EXPECT_EQ(ReadIndexFilePacked(path).status().code(),
+            StatusCode::kParseError);
 
   const std::string zero_width_prefix =
       good.substr(0, 16) +            // magic + version + tag
@@ -220,7 +259,8 @@ TEST(IndexIoTest, V2RejectsTruncationAndTrailingGarbage) {
   degenerate.append(8, '\0');         // words_per_row = 0
   degenerate.append(8, '\0');         // next_id = 0
   Spit(path, degenerate);
-  EXPECT_EQ(ReadIndexFile(path).status().code(), StatusCode::kParseError);
+  EXPECT_EQ(ReadIndexFilePacked(path).status().code(),
+            StatusCode::kParseError);
 
   // n = 2^30 fits in int and rows occupy no file bytes at p = 0, but each
   // row still owes 8 id-block bytes, so the size check rejects the count
@@ -232,18 +272,8 @@ TEST(IndexIoTest, V2RejectsTruncationAndTrailingGarbage) {
   degenerate.append(8, '\0');         // words_per_row = 0
   degenerate += big_n;                // next_id = 2^30 (valid: >= n)
   Spit(path, degenerate);
-  EXPECT_EQ(ReadIndexFile(path).status().code(), StatusCode::kParseError);
-}
-
-TEST(IndexIoTest, ParseIndexFormatNames) {
-  ASSERT_TRUE(ParseIndexFormat("v1").ok());
-  EXPECT_EQ(*ParseIndexFormat("v1"), IndexFormat::kV1Text);
-  ASSERT_TRUE(ParseIndexFormat("v2").ok());
-  EXPECT_EQ(*ParseIndexFormat("v2"), IndexFormat::kV2Binary);
-  ASSERT_TRUE(ParseIndexFormat("v3").ok());
-  EXPECT_EQ(*ParseIndexFormat("v3"), IndexFormat::kV3Sectioned);
-  EXPECT_EQ(ParseIndexFormat("v4").status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ReadIndexFilePacked(path).status().code(),
+            StatusCode::kParseError);
 }
 
 TEST(IndexIoTest, V2PersistsCustomIdsAndRejectsBadOnes) {
@@ -251,8 +281,8 @@ TEST(IndexIoTest, V2PersistsCustomIdsAndRejectsBadOnes) {
   PersistedIndex index = RandomIndex(4, 9, &rng);
   index.ids = {3, 7, 9, 40};
   const std::string path = ::testing::TempDir() + "/gdim_ids.idx2";
-  ASSERT_TRUE(WriteIndexFile(index, path, IndexFormat::kV2Binary).ok());
-  Result<PersistedIndex> back = ReadIndexFile(path);
+  ASSERT_TRUE(WriteV2IndexFile(index, path).ok());
+  Result<PersistedIndex> back = ReadIndexFileBytes(path);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->ids, index.ids);
   EXPECT_EQ(back->db_bits, index.db_bits);
@@ -275,32 +305,33 @@ TEST(IndexIoTest, V2PersistsCustomIdsAndRejectsBadOnes) {
   const std::string snap = ::testing::TempDir() + "/gdim_ids_snap.idx2";
   ASSERT_TRUE(engine->Snapshot(snap).ok());
   auto reloaded = ShardedEngine::FromIndex(
-      std::move(ReadIndexFile(snap)).value());
+      std::move(ReadIndexFileBytes(snap)).value());
   ASSERT_TRUE(reloaded.ok());
   ScopedRole reloaded_writer(&reloaded->writer_role());
   auto after_reload = reloaded->InsertMapped(std::vector<uint8_t>(9, 0));
   ASSERT_TRUE(after_reload.ok());
   EXPECT_EQ(*after_reload, 42);  // not a resurrected 41
 
-  // Writers, readers, and FromIndex all reject non-ascending or mis-sized
-  // id lists.
+  // The writer, the readers, and FromIndex all reject non-ascending or
+  // mis-sized id lists.
   index.ids = {3, 3, 9, 40};
-  EXPECT_EQ(WriteIndexFile(index, path, IndexFormat::kV2Binary).code(),
+  EXPECT_EQ(WriteV3IndexFile(index, path).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ShardedEngine::FromIndex(index).status().code(),
             StatusCode::kInvalidArgument);
   index.ids = {3, 7, 9};
-  EXPECT_EQ(WriteIndexFile(index, path, IndexFormat::kV2Binary).code(),
+  EXPECT_EQ(WriteV3IndexFile(index, path).code(),
             StatusCode::kInvalidArgument);
   index.ids = {3, 7, 9, 40};
   PersistedIndex scrambled = index;
   scrambled.ids = {3, 7, 9, 40};
-  ASSERT_TRUE(WriteIndexFile(scrambled, path, IndexFormat::kV2Binary).ok());
+  ASSERT_TRUE(WriteV2IndexFile(scrambled, path).ok());
   std::string bytes = Slurp(path);
   // The id block is the last 4 u64s; make it non-ascending in place.
   bytes[bytes.size() - 8] = 0;  // last id 40 -> 0
   Spit(path, bytes);
-  EXPECT_EQ(ReadIndexFile(path).status().code(), StatusCode::kParseError);
+  EXPECT_EQ(ReadIndexFilePacked(path).status().code(),
+            StatusCode::kParseError);
 }
 
 TEST(IndexIoTest, MutatedEngineSnapshotReloadsEquivalently) {
@@ -323,20 +354,25 @@ TEST(IndexIoTest, MutatedEngineSnapshotReloadsEquivalently) {
     ASSERT_TRUE(engine->InsertMapped(bits).ok());
   }
 
-  for (IndexFormat format : {IndexFormat::kV1Text, IndexFormat::kV2Binary,
-                             IndexFormat::kV3Sectioned}) {
+  for (Version version : kAllVersions) {
     const std::string path =
         ::testing::TempDir() +
-        (format == IndexFormat::kV1Text ? "/gdim_snap.idx"
-                                        : "/gdim_snap.idx2");
-    ASSERT_TRUE(engine->Snapshot(path, format).ok());
-    Result<PersistedIndex> back = ReadIndexFile(path);
+        (version == Version::kV1 ? "/gdim_snap.idx" : "/gdim_snap.idx2");
+    // v3 is the engine's own snapshot; the legacy versions are the live
+    // database in id order, as the old v1/v2 snapshot paths wrote it.
+    if (version == Version::kV3) {
+      ASSERT_TRUE(engine->Snapshot(path).ok());
+    } else {
+      ASSERT_TRUE(
+          WriteVersion(version, engine->ToPersistedIndex(), path).ok());
+    }
+    Result<PersistedIndex> back = ReadIndexFileBytes(path);
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     // The snapshot is exactly the live database in id order; v2/v3 also
     // carry the external ids, v1 renumbers positionally.
     EXPECT_EQ(back->db_bits, engine->ToPersistedIndex().db_bits);
     const std::vector<int> live_ids = engine->alive_ids();
-    const bool keeps_ids = format != IndexFormat::kV1Text;
+    const bool keeps_ids = version != Version::kV1;
     if (keeps_ids) {
       EXPECT_EQ(back->ids, live_ids);
     } else {
@@ -374,7 +410,7 @@ TEST(IndexIoTest, MutatedEngineSnapshotReloadsEquivalently) {
   }
 }
 
-TEST(IndexIoTest, PackedReaderMatchesByteReaderForAllFormats) {
+TEST(IndexIoTest, PackedReaderMatchesWrittenRowsForAllFormats) {
   Rng rng(41);
   for (int p : {0, 1, 63, 64, 65, 130}) {
     for (int n : {0, 1, 17}) {
@@ -385,26 +421,26 @@ TEST(IndexIoTest, PackedReaderMatchesByteReaderForAllFormats) {
           index.ids[static_cast<size_t>(i)] = 2 * i + 1;  // sparse ids
         }
       }
-      for (IndexFormat format :
-           {IndexFormat::kV1Text, IndexFormat::kV2Binary,
-            IndexFormat::kV3Sectioned}) {
+      for (Version version : kAllVersions) {
         const std::string path = ::testing::TempDir() + "/gdim_packed_rt" +
-                                 (format == IndexFormat::kV1Text ? ".idx"
-                                                                 : ".idx2");
-        ASSERT_TRUE(WriteIndexFile(index, path, format).ok());
+                                 (version == Version::kV1 ? ".idx" : ".idx2");
+        ASSERT_TRUE(WriteVersion(version, index, path).ok());
         Result<PackedIndex> packed = ReadIndexFilePacked(path);
         ASSERT_TRUE(packed.ok())
             << "p=" << p << " n=" << n << ": " << packed.status().ToString();
-        Result<PersistedIndex> bytes = ReadIndexFile(path);
-        ASSERT_TRUE(bytes.ok());
-        EXPECT_EQ(packed->features, bytes->features);
-        EXPECT_EQ(packed->ids, bytes->ids);
-        EXPECT_EQ(packed->next_id, bytes->next_id);
+        // v1 rows are positional with a derived counter (ids empty,
+        // next_id -1); v2/v3 carry the ids and one past the largest.
+        const bool v1 = version == Version::kV1;
+        const int expect_next_id =
+            v1 ? -1 : (index.ids.empty() ? n : index.ids.back() + 1);
+        EXPECT_EQ(packed->features, index.features);
+        EXPECT_EQ(packed->ids, v1 ? std::vector<int>{} : index.ids);
+        EXPECT_EQ(packed->next_id, expect_next_id);
         ASSERT_EQ(packed->rows.num_rows(), n);
         ASSERT_EQ(packed->rows.num_bits(), p);
         for (int i = 0; i < n; ++i) {
           EXPECT_EQ(packed->rows.UnpackRow(i),
-                    bytes->db_bits[static_cast<size_t>(i)])
+                    index.db_bits[static_cast<size_t>(i)])
               << "p=" << p << " row=" << i;
         }
       }
@@ -425,7 +461,7 @@ TEST(IndexIoTest, PackedReaderMasksHostilePaddingBits) {
       0x0000000000000000ULL | 0xFFFFFFFFFFFFFC00ULL,  // no bits + junk
   };
   const std::string path = ::testing::TempDir() + "/gdim_dirty_pad.idx2";
-  ASSERT_TRUE(WriteIndexFileV2Words(
+  ASSERT_TRUE(WriteV2IndexFileWords(
                   meta.features, 3, 1,
                   [&](uint64_t i) { return &dirty_rows[i]; }, {}, -1, path)
                   .ok());
@@ -449,7 +485,7 @@ TEST(IndexIoTest, OpenServesIdenticallyThroughThePackedPath) {
   Rng rng(47);
   PersistedIndex index = RandomIndex(25, 70, &rng);
   const std::string path = ::testing::TempDir() + "/gdim_packed_open.idx2";
-  ASSERT_TRUE(WriteIndexFile(index, path, IndexFormat::kV2Binary).ok());
+  ASSERT_TRUE(WriteV2IndexFile(index, path).ok());
   // Open() loads v2 through ReadIndexFilePacked (block read, no byte
   // detour); it must serve bit-identically to the byte-path engine and to
   // the offline ranking.
@@ -501,8 +537,7 @@ PersistedIndex V3Corpus() {
 /// fuzz tests splice hostile sections onto it.
 std::string V3BaseBytes() {
   const std::string path = ::testing::TempDir() + "/gdim_v3_base.idx2";
-  GDIM_CHECK(
-      WriteIndexFile(V3Corpus(), path, IndexFormat::kV3Sectioned).ok());
+  GDIM_CHECK(WriteV3IndexFile(V3Corpus(), path).ok());
   return Slurp(path);
 }
 
@@ -582,12 +617,12 @@ TEST(IndexIoTest, V3RoundTripCarriesSections) {
   EXPECT_EQ(back->ivf->buckets[1].ids, (std::vector<int>{9, 40}));
 
   // An engine opened from the file adopts the persisted epoch, and the
-  // byte-view reader still accepts the file (sections validated, dropped).
+  // byte-row view still accepts the file (sections validated, dropped).
   auto engine = ShardedEngine::Open(path);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_EQ(engine->epoch(), 77u);
   EXPECT_EQ(engine->ivf_buckets(), 2);
-  ASSERT_TRUE(ReadIndexFile(path).ok());
+  ASSERT_TRUE(ReadIndexFileBytes(path).ok());
 }
 
 TEST(IndexIoTest, V3WriterMirrorsReaderValidation) {
@@ -742,13 +777,106 @@ TEST(IndexIoTest, V2FilesLoadWithoutSections) {
   // generation/epoch restart at zero), no STOR, and no IVFX.
   const PersistedIndex index = V3Corpus();
   const std::string path = ::testing::TempDir() + "/gdim_v2_compat.idx2";
-  ASSERT_TRUE(WriteIndexFile(index, path, IndexFormat::kV2Binary).ok());
+  ASSERT_TRUE(WriteV2IndexFile(index, path).ok());
   Result<PackedIndex> packed = ReadIndexFilePacked(path);
   ASSERT_TRUE(packed.ok()) << packed.status().ToString();
   EXPECT_FALSE(packed->meta.has_value());
   EXPECT_FALSE(packed->store.has_value());
   EXPECT_FALSE(packed->ivf.has_value());
   EXPECT_EQ(packed->ids, index.ids);
+}
+
+// --------------------------------------------------------- durable write --
+
+/// The names in dir, sorted, without "." and "..".
+std::vector<std::string> ListDir(const std::string& dir) {
+  std::vector<std::string> names;
+  DIR* handle = ::opendir(dir.c_str());
+  if (handle == nullptr) return names;
+  while (const dirent* entry = ::readdir(handle)) {
+    const std::string name = entry->d_name;
+    if (name != "." && name != "..") names.push_back(name);
+  }
+  ::closedir(handle);
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(IndexIoTest, FailedWriteLeavesTheOldFileIntact) {
+  // A snapshot with every section, rewritten over a good one while the
+  // process's file-size limit cuts the write short at each byte offset.
+  // SIGXFSZ is ignored, so write(2) fails with EFBIG instead of killing the
+  // process. Every cut write must report an error, leave the old file
+  // bit-identical and loadable, and leave no temp file behind.
+  const PersistedIndex index = V3Corpus();
+  const PackedBitMatrix packed = PackedBitMatrix::FromRows(index.db_bits, 9);
+  PersistedIvf ivf;
+  ivf.num_bits = 9;
+  ivf.buckets.push_back({{0x21}, {3, 7}});
+  ivf.buckets.push_back({{0x42}, {9, 40}});
+  GraphDatabase store_graphs;
+  for (int i = 0; i < 4; ++i) {
+    Graph g;
+    g.AddVertex(static_cast<LabelId>(i));
+    store_graphs.push_back(g);
+  }
+  const auto write = [&](uint64_t generation, const std::string& path) {
+    PersistedMeta meta;
+    meta.generation = generation;
+    meta.epoch = 77;
+    V3Sections sections;
+    sections.meta = &meta;
+    sections.store_ids = &index.ids;
+    sections.store_graphs = &store_graphs;
+    sections.ivf = &ivf;
+    return WriteIndexFileV3Words(
+        index.features, 4, 1,
+        [&](uint64_t i) { return packed.row(static_cast<int>(i)); },
+        index.ids, -1, sections, path);
+  };
+
+  std::string dir = ::testing::TempDir() + "/gdim_durable_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string path = dir + "/index.idx";
+  ASSERT_TRUE(write(5, path).ok());
+  const std::string good = Slurp(path);
+  const std::string sized = dir + "/sized.idx";
+  ASSERT_TRUE(write(6, sized).ok());
+  const size_t new_size = Slurp(sized).size();
+  ASSERT_EQ(::unlink(sized.c_str()), 0);
+  ASSERT_GT(new_size, 100u);
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_NE(old_handler, SIG_ERR);
+  for (size_t limit = 0; limit < new_size; ++limit) {
+    rlimit capped = saved;
+    capped.rlim_cur = static_cast<rlim_t>(limit);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+    const Status status = write(6, path);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+    EXPECT_EQ(status.code(), StatusCode::kIoError) << "limit=" << limit;
+    ASSERT_EQ(Slurp(path), good) << "limit=" << limit;
+    ASSERT_EQ(ListDir(dir), std::vector<std::string>{"index.idx"})
+        << "limit=" << limit;
+  }
+  ASSERT_NE(std::signal(SIGXFSZ, old_handler), SIG_ERR);
+
+  Result<PackedIndex> old_file = ReadIndexFilePacked(path);
+  ASSERT_TRUE(old_file.ok()) << old_file.status().ToString();
+  ASSERT_TRUE(old_file->meta.has_value());
+  EXPECT_EQ(old_file->meta->generation, 5u);
+
+  // Uncut, the same write replaces the file whole.
+  ASSERT_TRUE(write(6, path).ok());
+  EXPECT_EQ(Slurp(path).size(), new_size);
+  Result<PackedIndex> new_file = ReadIndexFilePacked(path);
+  ASSERT_TRUE(new_file.ok()) << new_file.status().ToString();
+  EXPECT_EQ(new_file->meta->generation, 6u);
+  EXPECT_EQ(ListDir(dir), std::vector<std::string>{"index.idx"});
+  EXPECT_EQ(::unlink(path.c_str()), 0);
+  EXPECT_EQ(::rmdir(dir.c_str()), 0);
 }
 
 TEST(IndexIoTest, EndToEndServeFromDisk) {
@@ -769,8 +897,8 @@ TEST(IndexIoTest, EndToEndServeFromDisk) {
   p.features = index->dimension();
   p.db_bits = index->mapped_database();
   std::string path = ::testing::TempDir() + "/gdim_served.idx";
-  ASSERT_TRUE(WriteIndexFile(p, path).ok());
-  Result<PersistedIndex> back = ReadIndexFile(path);
+  ASSERT_TRUE(WriteV3IndexFile(p, path).ok());
+  Result<PersistedIndex> back = ReadIndexFileBytes(path);
   ASSERT_TRUE(back.ok());
 
   GraphDatabase queries = GenerateChemQueries(gen, 3);

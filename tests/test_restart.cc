@@ -5,8 +5,8 @@
 // generation and mutation epoch, seed its graph store from the STOR
 // section, adopt the persisted IVF layout without a rebuild, and answer
 // MODE=full and MODE=approx/NPROBE=all probes bit-identically — at shards
-// {1, 4} x threads {1, 8}. The v2 escape hatch documents the pre-v3
-// degraded behavior (generation and epoch restart at zero).
+// {1, 4} x threads {1, 8}. A v2 file documents the pre-v3 degraded
+// behavior (generation and epoch restart at zero).
 
 #include <gtest/gtest.h>
 
@@ -25,6 +25,7 @@
 #include "server/batch_executor.h"
 #include "server/sharded_engine.h"
 #include "store/graph_store.h"
+#include "test_util.h"
 
 namespace gdim {
 namespace {
@@ -243,11 +244,11 @@ TEST(RestartDifferentialTest, V3SnapshotRestartIsBitIdentical) {
 }
 
 TEST(RestartDifferentialTest, V2EscapeHatchDegradesToGenerationZero) {
-  // The pre-v3 behavior, kept reachable through the explicit kV2Binary
-  // escape hatch: the reload serves the right rows but the generation and
-  // epoch restart at zero and the IVF index is rebuilt from scratch. (The
-  // serve-net loader WARNs about exactly this when it sees a sectionless
-  // snapshot; tools/restart_smoke.sh exercises the wire-level path.)
+  // The pre-v3 behavior, for v2 files written before v3 existed: the
+  // reload serves the right rows but the generation and epoch restart at
+  // zero and the IVF index is rebuilt from scratch. (The serve-net loader
+  // WARNs about exactly this when it sees a sectionless index;
+  // tools/restart_smoke.sh exercises the wire-level path.)
   const GraphDatabase corpus = GenerateChemDatabase(SmallChem(18, 95));
   const PersistedIndex index =
       InitialIndex(corpus, FastRefresh("Sample", 6, 2));
@@ -258,7 +259,8 @@ TEST(RestartDifferentialTest, V2EscapeHatchDegradesToGenerationZero) {
   ScopedRole writer(&engine->writer_role());
   ASSERT_TRUE(engine->Remove(3).ok());
 
-  // A generation swap, then a v2 snapshot of the swapped engine.
+  // A generation swap, then the swapped engine's live rows as a v2 file
+  // (what the retired v2 snapshot path wrote).
   auto next = ShardedEngine::FromIndex(
       InitialIndex(corpus, FastRefresh("Sample", 6, 7)), opts);
   ASSERT_TRUE(next.ok());
@@ -267,7 +269,8 @@ TEST(RestartDifferentialTest, V2EscapeHatchDegradesToGenerationZero) {
   ASSERT_GT(engine->epoch(), 0u);
 
   const std::string path = ::testing::TempDir() + "/gdim_v2_degraded.idx2";
-  ASSERT_TRUE(engine->Snapshot(path, IndexFormat::kV2Binary).ok());
+  ASSERT_TRUE(
+      testing_util::WriteV2IndexFile(engine->ToPersistedIndex(), path).ok());
   Result<PackedIndex> packed = ReadIndexFilePacked(path);
   ASSERT_TRUE(packed.ok());
   EXPECT_FALSE(packed->meta.has_value());  // nothing to restore from

@@ -3,11 +3,20 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <functional>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "common/status.h"
+#include "core/index_io.h"
+#include "core/packed_bits.h"
 #include "core/topk.h"
 #include "graph/graph.h"
+#include "graph/graph_io.h"
 #include "graph/graph_utils.h"
 #include "isomorphism/vf2.h"
 
@@ -138,6 +147,112 @@ inline Ranking OfflinePrefilterTopK(
   if (narrowed != nullptr) *narrowed = narrow;
   return narrow ? OfflineTopK(query, kept, kept_ids, k)
                 : OfflineTopK(query, rows, ids, k);
+}
+
+// Index files in the formats production code only reads. The one
+// production writer, WriteIndexFileV3Words, emits v3; these writers keep
+// the v1 and v2 readers covered. They follow the byte layouts documented in
+// core/index_io.h and validate nothing, so tests can also feed the readers
+// files no production writer would emit.
+
+/// v1 text: the magic line, the feature graphs, then one 0/1 digit row per
+/// vector. Rows are positional; v1 cannot carry ids or next_id.
+inline Status WriteV1IndexFile(const PersistedIndex& index,
+                               const std::string& path) {
+  std::ofstream out(path);
+  if (!out) return Status::IoError("cannot open for writing: " + path);
+  out << "gdim-index v1\n"
+      << "features " << index.features.size() << "\n";
+  WriteGraphStream(index.features, out);
+  out << "vectors " << index.db_bits.size() << " " << index.features.size()
+      << "\n";
+  for (const std::vector<uint8_t>& row : index.db_bits) {
+    for (const uint8_t bit : row) out << (bit != 0 ? '1' : '0');
+    out << "\n";
+  }
+  out.flush();
+  return out ? Status::OK() : Status::IoError("write failed: " + path);
+}
+
+template <typename T>
+void AppendPod(std::string* out, T value) {
+  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+/// v2 binary from packed row words: the GDIMIDX2 header, then the
+/// dimension body (p, feature text, n, words_per_row, next_id, the word
+/// block, the id block). Empty ids are positional; next_id -1 derives one
+/// past the largest id.
+inline Status WriteV2IndexFileWords(
+    const GraphDatabase& features, uint64_t n, uint64_t words_per_row,
+    const std::function<const uint64_t*(uint64_t)>& row_words,
+    const std::vector<int>& ids, int next_id, const std::string& path) {
+  std::ostringstream text;
+  WriteGraphStream(features, text);
+  const std::string feature_text = text.str();
+  std::string bytes = "GDIMIDX2";
+  AppendPod(&bytes, uint32_t{2});           // header version
+  AppendPod(&bytes, uint32_t{0x01020304});  // endianness tag
+  AppendPod(&bytes, static_cast<uint64_t>(features.size()));
+  AppendPod(&bytes, static_cast<uint64_t>(feature_text.size()));
+  bytes += feature_text;
+  AppendPod(&bytes, n);
+  AppendPod(&bytes, words_per_row);
+  if (next_id < 0) {
+    next_id = ids.empty() ? static_cast<int>(n) : ids.back() + 1;
+  }
+  AppendPod(&bytes, static_cast<uint64_t>(next_id));
+  for (uint64_t i = 0; i < n && words_per_row > 0; ++i) {
+    bytes.append(reinterpret_cast<const char*>(row_words(i)),
+                 words_per_row * sizeof(uint64_t));
+  }
+  for (uint64_t i = 0; i < n; ++i) {
+    AppendPod(&bytes, ids.empty() ? i : static_cast<uint64_t>(ids[i]));
+  }
+  std::ofstream out(path, std::ios::binary);
+  if (!out) return Status::IoError("cannot open for writing: " + path);
+  out << bytes;
+  out.flush();
+  return out ? Status::OK() : Status::IoError("write failed: " + path);
+}
+
+/// v2 binary from byte rows (packed first).
+inline Status WriteV2IndexFile(const PersistedIndex& index,
+                               const std::string& path) {
+  const PackedBitMatrix packed = PackedBitMatrix::FromRows(
+      index.db_bits, static_cast<int>(index.features.size()));
+  return WriteV2IndexFileWords(
+      index.features, index.db_bits.size(),
+      static_cast<uint64_t>(packed.words_per_row()),
+      [&](uint64_t i) { return packed.row(static_cast<int>(i)); }, index.ids,
+      index.next_id, path);
+}
+
+/// A DIMS-only v3 file from byte rows, through the production writer.
+inline Status WriteV3IndexFile(const PersistedIndex& index,
+                               const std::string& path) {
+  const PackedBitMatrix packed = PackedBitMatrix::FromRows(
+      index.db_bits, static_cast<int>(index.features.size()));
+  return WriteIndexFileV3Words(
+      index.features, index.db_bits.size(),
+      static_cast<uint64_t>(packed.words_per_row()),
+      [&](uint64_t i) { return packed.row(static_cast<int>(i)); }, index.ids,
+      index.next_id, V3Sections{}, path);
+}
+
+/// The byte-row view of ReadIndexFilePacked: rows unpacked, v3 sections
+/// dropped.
+inline Result<PersistedIndex> ReadIndexFileBytes(const std::string& path) {
+  Result<PackedIndex> packed = ReadIndexFilePacked(path);
+  if (!packed.ok()) return packed.status();
+  PersistedIndex out;
+  out.features = std::move(packed->features);
+  for (int i = 0; i < packed->rows.num_rows(); ++i) {
+    out.db_bits.push_back(packed->rows.UnpackRow(i));
+  }
+  out.ids = std::move(packed->ids);
+  out.next_id = packed->next_id;
+  return out;
 }
 
 }  // namespace testing_util

@@ -3,21 +3,22 @@
 //   gdim_tool generate --kind=chem --n=500 --out=db.gdb [--queries=...]
 //   gdim_tool mine     --db=db.gdb --minsup=0.05 --maxedges=7 --out=patterns.gdb
 //   gdim_tool build    --db=db.gdb --selector=DSPM --p=100 --out=index.idx
-//   gdim_tool query    --index=index.idx --db=db.gdb --queries=q.gdb --k=10
 //   gdim_tool serve    --index=index.idx --queries=q.gdb --k=10 [--threads=N]
 //   gdim_tool serve-net --index=index.idx --port=7411 --shards=4
 //                       [--queue=256 --cache-mb=64]
 //                       [--db=db.gdb --reindex-every=5000]
 //   gdim_tool update   --index=index.idx --out=index2.idx
 //                      [--insert=new.gdb --remove=3,17 --compact]
-//   gdim_tool convert  --in=index.idx --out=index.idx2 [--format=v2]
 //   gdim_tool stats    --db=db.gdb
 //
-// All subcommands read/write the gSpan text format (`t # id / v / e` lines)
-// and the gdim-index formats (v1 text / v2 binary / v3 sectioned, see
-// core/index_io.h; readers auto-detect the version). serve-net restarted
-// from a v3 snapshot alone resumes the graph store, dimension generation,
-// epoch, and IVF layout — no --db needed.
+// Graphs are read and written in the gSpan text format (`t # id / v / e`
+// lines). Every index file written here (build, update) is a v3 serving
+// snapshot written through ShardedEngine::WriteSnapshot, the same durable
+// path as the server's SNAPSHOT; index readers still accept v1 text and v2
+// binary files (see core/index_io.h), so `update` with no mutations
+// upgrades an old file to v3. serve-net restarted from a v3 snapshot alone
+// resumes the graph store, dimension generation, epoch, and IVF layout —
+// no --db needed.
 
 #include <algorithm>
 #include <cctype>
@@ -54,17 +55,28 @@ int Fail(const Status& status) {
   return 1;
 }
 
+/// Fills an empty store with graphs[i] under ids[i] (ascending). Runs
+/// before any executor exists, so the calling thread is the store's writer.
+Status SeedStore(const std::vector<int>& ids, GraphDatabase graphs,
+                 GraphStore* store) {
+  ScopedRole store_writer(&store->writer_role());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    Status put = store->Put(ids[i], std::move(graphs[i]));
+    if (!put.ok()) return put;
+  }
+  return Status::OK();
+}
+
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: gdim_tool <generate|mine|build|query|serve|serve-net|"
-      "update|convert|stats> [--flags]\n"
+      "usage: gdim_tool <generate|mine|build|serve|serve-net|update|stats> "
+      "[--flags]\n"
       "  generate --kind=chem|synthetic --n=N --out=FILE "
       "[--queries=M --queries-out=FILE --seed=S]\n"
       "  mine     --db=FILE --out=FILE [--minsup=0.05 --maxedges=7]\n"
       "  build    --db=FILE --out=FILE [--selector=DSPM --p=100 "
-      "--minsup=0.05 --maxedges=7 --seed=S --format=v1|v2|v3]\n"
-      "  query    --index=FILE --db=FILE --queries=FILE [--k=10]\n"
+      "--minsup=0.05 --maxedges=7 --seed=S]\n"
       "  serve    --index=FILE --queries=FILE [--k=10 --threads=N "
       "--shards=N --prefilter --ivf-buckets=N --quiet]\n"
       "  serve-net --index=FILE [--host=127.0.0.1 --port=0 --shards=1 "
@@ -73,8 +85,7 @@ int Usage() {
       "--reindex-selector=DSPMap --reindex-p=0 --reindex-minsup=0.05 "
       "--reindex-maxedges=7 --slow-query-usec=0]\n"
       "  update   --index=FILE --out=FILE [--insert=GRAPHS --remove=I,J,... "
-      "--compact --format=v1|v2|v3]\n"
-      "  convert  --in=FILE --out=FILE [--format=v1|v2|v3]\n"
+      "--compact]\n"
       "  stats    --db=FILE\n");
   return 2;
 }
@@ -185,61 +196,30 @@ int RunBuild(const Flags& flags) {
   WallTimer timer;
   Result<GraphSearchIndex> index = GraphSearchIndex::Build(*db, opts);
   if (!index.ok()) return Fail(index.status());
-  Result<IndexFormat> format =
-      ParseIndexFormat(flags.GetString("format", "v1"));
-  if (!format.ok()) return Fail(format.status());
+  // The built rows seed a serving engine, and its snapshot carries the
+  // database as the graph store: the file loads with its IVF layout and
+  // can REINDEX with no --db.
   PersistedIndex persisted;
   persisted.features = index->dimension();
   persisted.db_bits = index->mapped_database();
-  Status s = WriteIndexFile(persisted, out, *format);
+  Result<ShardedEngine> engine = ShardedEngine::FromIndex(std::move(persisted));
+  if (!engine.ok()) return Fail(engine.status());
+  const size_t num_graphs = db->size();
+  ScopedRole writer(&engine->writer_role());
+  FrozenShardedState frozen = engine->Freeze();
+  frozen.store.emplace();
+  frozen.store->ids = engine->alive_ids();  // positional: row i is graph i
+  frozen.store->graphs = std::move(db).value();
+  Status s = ShardedEngine::WriteSnapshot(frozen, out);
   if (!s.ok()) return Fail(s);
   const IndexBuildStats& st = index->build_stats();
   std::printf("built %s index over %zu graphs in %.2fs "
               "(mine %.2fs + delta %.2fs + select %.2fs): %d of %d features "
               "-> %s\n",
-              opts.selector.c_str(), db->size(), timer.Seconds(),
+              opts.selector.c_str(), num_graphs, timer.Seconds(),
               st.mining_seconds, st.dissimilarity_seconds,
               st.selection_seconds, st.selected_features, st.mined_features,
               out.c_str());
-  return 0;
-}
-
-int RunQuery(const Flags& flags) {
-  const std::string index_path = flags.GetString("index", "");
-  const std::string db_path = flags.GetString("db", "");
-  const std::string queries_path = flags.GetString("queries", "");
-  if (index_path.empty() || db_path.empty() || queries_path.empty()) {
-    return Usage();
-  }
-  Result<int> k_flag = ValidatedK(flags);
-  if (!k_flag.ok()) return Fail(k_flag.status());
-  const int k = *k_flag;
-  Result<PersistedIndex> index = ReadIndexFile(index_path);
-  if (!index.ok()) return Fail(index.status());
-  Result<GraphDatabase> db = ReadGraphFile(db_path);
-  if (!db.ok()) return Fail(db.status());
-  Result<GraphDatabase> queries = ReadGraphFile(queries_path);
-  if (!queries.ok()) return Fail(queries.status());
-  if (index->db_bits.size() != db->size()) {
-    return Fail(Status::InvalidArgument(
-        "index vector count does not match database size"));
-  }
-  FeatureMapper mapper(index->features);
-  WallTimer timer;
-  for (size_t qi = 0; qi < queries->size(); ++qi) {
-    Ranking top =
-        TopK(MappedRanking(mapper.Map((*queries)[qi]), index->db_bits), k);
-    std::printf("query %zu:", qi);
-    for (const RankedResult& r : top) {
-      std::printf(" %d:%.4f", r.id, r.score);
-    }
-    std::printf("\n");
-  }
-  double secs = timer.Seconds();
-  std::printf("# %zu queries in %.3fs (%.2f ms/query, p=%d, k=%d)\n",
-              queries->size(), secs,
-              secs / static_cast<double>(queries->size()) * 1e3,
-              static_cast<int>(index->features.size()), k);
   return 0;
 }
 
@@ -462,27 +442,18 @@ int RunServeNet(const Flags& flags) {
       return Fail(matches);
     }
     store.emplace();
-    // The executor doesn't exist yet, so this thread is the store's writer
-    // while it seeds the live graphs.
-    ScopedRole store_writer(&store->writer_role());
-    const std::vector<int> ids = engine->alive_ids();
-    for (size_t i = 0; i < ids.size(); ++i) {
-      Status put = store->Put(ids[i], std::move((*db)[i]));
-      if (!put.ok()) return Fail(put);
-    }
+    Status seeded =
+        SeedStore(engine->alive_ids(), std::move(db).value(), &*store);
+    if (!seeded.ok()) return Fail(seeded);
   } else if (snapshot_store.has_value()) {
     // Resume the store from the snapshot's own STOR section: the reader
     // already validated its ids against the index row ids, so the store is
     // in lockstep with the engine by construction — no --db, no VF2
     // cross-check needed.
     store.emplace();
-    // The executor doesn't exist yet; this thread seeds the live graphs.
-    ScopedRole store_writer(&store->writer_role());
-    for (size_t i = 0; i < snapshot_store->ids.size(); ++i) {
-      Status put = store->Put(snapshot_store->ids[i],
-                              std::move(snapshot_store->graphs[i]));
-      if (!put.ok()) return Fail(put);
-    }
+    Status seeded = SeedStore(snapshot_store->ids,
+                              std::move(snapshot_store->graphs), &*store);
+    if (!seeded.ok()) return Fail(seeded);
   }
 
   BatchExecutorOptions executor_opts;
@@ -563,15 +534,27 @@ int RunUpdate(const Flags& flags) {
   const std::string index_path = flags.GetString("index", "");
   const std::string out = flags.GetString("out", "");
   if (index_path.empty() || out.empty()) return Usage();
-  Result<IndexFormat> format =
-      ParseIndexFormat(flags.GetString("format", "v2"));
-  if (!format.ok()) return Fail(format.status());
   // One shard: update is an offline rewrite, and the engine carries the
-  // snapshot's dimension generation and epoch through to the output.
-  Result<ShardedEngine> engine = ShardedEngine::Open(index_path);
+  // file's dimension generation and epoch through to the output. The
+  // file's graph store (STOR), when it has one, takes every mutation in
+  // lockstep with the engine and goes back out with the snapshot, as the
+  // server's dispatcher does with its own store.
+  Result<PackedIndex> packed = ReadIndexFilePacked(index_path);
+  if (!packed.ok()) return Fail(packed.status());
+  std::optional<PersistedStore> file_store = std::move(packed->store);
+  packed->store.reset();
+  Result<ShardedEngine> engine = ShardedEngine::FromPacked(std::move(*packed));
   if (!engine.ok()) return Fail(engine.status());
-  // This single-threaded command is the engine's writer.
+  const bool has_store = file_store.has_value();
+  GraphStore store;
+  if (has_store) {
+    Status seeded =
+        SeedStore(file_store->ids, std::move(file_store->graphs), &store);
+    if (!seeded.ok()) return Fail(seeded);
+  }
+  // This single-threaded command is the engine's and the store's writer.
   ScopedRole writer(&engine->writer_role());
+  ScopedRole store_writer(&store.writer_role());
 
   // Removes first, then inserts, so a freshly inserted graph can never be
   // swept up by the same command's --remove list.
@@ -581,6 +564,7 @@ int RunUpdate(const Flags& flags) {
     if (!ids.ok()) return Fail(ids.status());
     for (int id : *ids) {
       Status s = engine->Remove(id);
+      if (s.ok() && has_store) s = store.Remove(id);
       if (!s.ok()) return Fail(s);
       ++removed;
     }
@@ -592,9 +576,13 @@ int RunUpdate(const Flags& flags) {
         ReadGraphFile(flags.GetString("insert", ""));
     if (!graphs.ok()) return Fail(graphs.status());
     WallTimer timer;
-    for (const Graph& g : *graphs) {
+    for (Graph& g : *graphs) {
       Result<int> id = engine->Insert(g);
       if (!id.ok()) return Fail(id.status());
+      if (has_store) {
+        Status put = store.Put(*id, std::move(g));
+        if (!put.ok()) return Fail(put);
+      }
       if (first_id < 0) first_id = *id;
       last_id = *id;
       ++inserted;
@@ -609,39 +597,21 @@ int RunUpdate(const Flags& flags) {
   if (flags.GetBool("compact", false)) {
     const int reclaimed = engine->tombstoned_rows();
     engine->Compact();
+    store.Compact();
     std::printf("compacted: reclaimed %d rows, %d live rows sealed\n",
                 reclaimed, engine->shard(0).base_rows());
   }
-  Status s = engine->Snapshot(out, *format);
+  FrozenShardedState frozen = engine->Freeze();
+  if (has_store) frozen.store = store.Freeze();
+  Status s = ShardedEngine::WriteSnapshot(frozen, out);
   if (!s.ok()) return Fail(s);
   std::printf(
       "updated %s: +%zu -%zu -> %d live graphs x %d dims "
-      "(base %d + delta %d rows, %d tombstoned) -> %s\n",
+      "(base %d + delta %d rows, %d tombstoned%s) -> %s\n",
       index_path.c_str(), inserted, removed, engine->num_graphs(),
       engine->num_features(), engine->shard(0).base_rows(),
-      engine->shard(0).delta_rows(), engine->tombstoned_rows(), out.c_str());
-  return 0;
-}
-
-int RunConvert(const Flags& flags) {
-  const std::string in = flags.GetString("in", "");
-  const std::string out = flags.GetString("out", "");
-  if (in.empty() || out.empty()) return Usage();
-  Result<IndexFormat> format =
-      ParseIndexFormat(flags.GetString("format", "v2"));
-  if (!format.ok()) return Fail(format.status());
-  WallTimer timer;
-  Result<PersistedIndex> index = ReadIndexFile(in);
-  if (!index.ok()) return Fail(index.status());
-  Status s = WriteIndexFile(*index, out, *format);
-  if (!s.ok()) return Fail(s);
-  std::printf("converted %s -> %s (%s, %zu graphs x %zu dims) in %.2fs\n",
-              in.c_str(), out.c_str(),
-              *format == IndexFormat::kV3Sectioned ? "v3 sectioned"
-              : *format == IndexFormat::kV2Binary  ? "v2 binary"
-                                                   : "v1 text",
-              index->db_bits.size(), index->features.size(),
-              timer.Seconds());
+      engine->shard(0).delta_rows(), engine->tombstoned_rows(),
+      has_store ? ", graph store kept" : "", out.c_str());
   return 0;
 }
 
@@ -678,11 +648,9 @@ int Main(int argc, char** argv) {
   if (command == "generate") return RunGenerate(flags);
   if (command == "mine") return RunMine(flags);
   if (command == "build") return RunBuild(flags);
-  if (command == "query") return RunQuery(flags);
   if (command == "serve") return RunServe(flags);
   if (command == "serve-net") return RunServeNet(flags);
   if (command == "update") return RunUpdate(flags);
-  if (command == "convert") return RunConvert(flags);
   if (command == "stats") return RunStats(flags);
   return Usage();
 }

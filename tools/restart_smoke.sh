@@ -11,11 +11,13 @@
 #   - QUERY answers — MODE=full and MODE=approx NPROBE=all — are
 #     byte-identical to the pre-kill responses,
 #   - REINDEX still works, fed by the snapshot's own store section,
-#   - the restart log carries no degraded-format WARN (the v1 cold start
-#     in step 1 does WARN — the loud/quiet pair is asserted both ways),
-#   - an offline `gdim_tool update --format=v3` of the snapshot keeps its
-#     dimension generation and moves its epoch strictly forward, as seen
-#     by a server restarted from the updated file.
+#   - the restart log carries no degraded-format WARN (the cold start in
+#     step 1, from the committed v1 fixture in tests/data, does WARN — the
+#     loud/quiet pair is asserted both ways),
+#   - an offline `gdim_tool update` of the snapshot keeps its dimension
+#     generation, moves its epoch strictly forward, and keeps the graph
+#     store, as seen by a server restarted from the updated file: REINDEX
+#     still works there, with no --db.
 #
 # Usage: tools/restart_smoke.sh [build-dir]   (default: build)
 
@@ -24,6 +26,7 @@ set -euo pipefail
 BUILD_DIR=${1:-build}
 TOOL="$BUILD_DIR/gdim_tool"
 [ -x "$TOOL" ] || { echo "restart_smoke: $TOOL not found" >&2; exit 1; }
+FIXTURES="$(dirname "$0")/../tests/data"
 
 TMP=$(mktemp -d)
 PIDS=()
@@ -131,6 +134,9 @@ elif mode == "updated":
         f"generation lost across update: {kv['"'"'dimension_generation'"'"']} != {want[0]}")
     assert int(kv["epoch"]) > int(want[1]), (
         f"epoch did not advance across update: {kv['"'"'epoch'"'"']} <= {want[1]}")
+    # update carried the store section through: no --db on this server.
+    r = req("REINDEX")
+    assert "generation=3" in r, r
 else:
     want = open(state).read().splitlines()
     kv = stats()
@@ -148,19 +154,20 @@ req("QUIT")
 print(f"restart_smoke: {mode} phase OK")
 '
 
-echo "restart_smoke: generating corpus and initial index"
+echo "restart_smoke: generating queries"
+# The same generator call that produced the fixture's corpus; only the
+# held-out queries are used.
 "$TOOL" generate --kind=chem --n=60 --queries=6 \
   --out="$TMP/db.gdb" --queries-out="$TMP/q.gdb"
-"$TOOL" build --db="$TMP/db.gdb" --out="$TMP/index.idx" \
-  --selector=DSPM --p=30 --minsup=0.15 --maxedges=4
 
-echo "restart_smoke: starting server 1 (cold build + --db)"
-start_server "$TMP/serve1.log" --index="$TMP/index.idx" \
-  --shards=3 --cache-mb=16 --db="$TMP/db.gdb" \
+echo "restart_smoke: starting server 1 (legacy v1 index + --db)"
+start_server "$TMP/serve1.log" --index="$FIXTURES/legacy_v1.idx" \
+  --shards=3 --cache-mb=16 --db="$FIXTURES/legacy_v1.gdb" \
   --reindex-minsup=0.15 --reindex-maxedges=4
 KILL_PID=$SERVER_PID
 # A meta-less index plus reindex-capable flags is the degraded shape: the
-# server must say so out loud.
+# server must say so out loud. Every file written today carries META, so
+# only a legacy file can take this path.
 grep -q 'WARN: .*no generation/epoch metadata' "$TMP/serve1.log"
 
 python3 -c "$CLIENT" pre "$SERVER_PORT" "$TMP/q.gdb" "$TMP/pre.txt" \
@@ -187,8 +194,7 @@ wait "$SERVER_PID" 2>/dev/null || true
 
 echo "restart_smoke: offline update of the snapshot, then a restart from it"
 # Id 0 was never removed above, so it is live in the snapshot.
-"$TOOL" update --index="$TMP/snap.idx2" --remove=0 --format=v3 \
-  --out="$TMP/updated.idx3"
+"$TOOL" update --index="$TMP/snap.idx2" --remove=0 --out="$TMP/updated.idx3"
 start_server "$TMP/serve3.log" --index="$TMP/updated.idx3" \
   --shards=3 --cache-mb=16
 python3 -c "$CLIENT" updated "$SERVER_PORT" "$TMP/q.gdb" "$TMP/pre.txt"
