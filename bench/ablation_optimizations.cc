@@ -124,7 +124,7 @@ int Main(int argc, char** argv) {
   PrintRow("mcgregor", {mg_ms, static_cast<double>(mg_bad)});
 
   // 4. Binary vs weighted final space.
-  auto db_bits = ProjectDatabase(data, rf.selected);
+  auto db_bits = ProjectSupports(data.features, rf.selected);
   auto q_bits = ProjectQueries(data, rf.selected, nullptr);
   double binary_precision = EvaluateMapped(data, q_bits, db_bits, k).precision;
   std::vector<double> sel_weights;

@@ -22,7 +22,7 @@ std::unique_ptr<ContainmentIndex> BuildIndex(const PreparedData& data,
   for (int r : selected) {
     features.push_back(data.features.feature_graphs()[static_cast<size_t>(r)]);
   }
-  auto rows = ProjectDatabase(data, selected);
+  auto rows = ProjectSupports(data.features, selected);
   return std::make_unique<ContainmentIndex>(data.db, std::move(features),
                                             rows);
 }

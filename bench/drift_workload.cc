@@ -137,9 +137,9 @@ int Main(int argc, char** argv) {
         BuildGeneration(store.Freeze(), refresh);
     GDIM_CHECK(initial.ok()) << initial.status().ToString();
     index.features = std::move(initial->features);
-    index.db_bits = std::move(initial->fingerprints);
+    index.db_bits = std::move(initial->rows);
     index.ids = std::move(initial->ids);
-    mined_features = initial->mined_features;
+    mined_features = initial->stats.mined_features;
   }
   ShardedOptions engine_opts;
   engine_opts.num_shards = shards;

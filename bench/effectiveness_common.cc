@@ -22,7 +22,7 @@ EffectivenessResult RunEffectiveness(const PreparedData& data, int p,
     Result<SelectionOutput> out = RunSelector(name, data, p, seed, &secs);
     GDIM_CHECK(out.ok()) << name << ": " << out.status().ToString();
     result.indexing_seconds[name] = secs;
-    auto db_bits = ProjectDatabase(data, out->selected);
+    auto db_bits = ProjectSupports(data.features, out->selected);
     auto q_bits = ProjectQueries(data, out->selected, nullptr);
     for (int k : ks) {
       Quality q = EvaluateMapped(data, q_bits, db_bits, k);

@@ -54,8 +54,8 @@ int Main(int argc, char** argv) {
   std::vector<int> all(static_cast<size_t>(data.features.num_features()));
   std::iota(all.begin(), all.end(), 0);
 
-  auto db_dspm = ProjectDatabase(data, dspm->selected);
-  auto db_orig = ProjectDatabase(data, all);
+  auto db_dspm = ProjectSupports(data.features, dspm->selected);
+  auto db_orig = ProjectSupports(data.features, all);
 
   // (a) all pairs within DG.
   std::vector<double> va, vm, vo;

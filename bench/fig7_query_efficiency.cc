@@ -44,8 +44,8 @@ int Main(int argc, char** argv) {
   }
   FeatureMapper dspm_mapper(std::move(dspm_dim));
   FeatureMapper orig_mapper(std::move(orig_dim));
-  auto db_dspm = ProjectDatabase(data, dspm->selected);
-  auto db_orig = ProjectDatabase(data, all);
+  auto db_dspm = ProjectSupports(data.features, dspm->selected);
+  auto db_orig = ProjectSupports(data.features, all);
 
   // Bucket queries by |V(q)|, as in the paper (5 buckets over 10..20).
   struct Bucket {

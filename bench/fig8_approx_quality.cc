@@ -30,7 +30,7 @@ int Main(int argc, char** argv) {
   double dspm_secs = 0.0;
   Result<SelectionOutput> dspm = RunSelector("DSPM", data, p, 1, &dspm_secs);
   GDIM_CHECK(dspm.ok());
-  auto db_bits = ProjectDatabase(data, dspm->selected);
+  auto db_bits = ProjectSupports(data.features, dspm->selected);
   auto q_bits = ProjectQueries(data, dspm->selected, nullptr);
   double dspm_precision = EvaluateMapped(data, q_bits, db_bits, k).precision;
 
@@ -48,7 +48,7 @@ int Main(int argc, char** argv) {
         data.features, [delta](int i, int j) { return delta->at(i, j); },
         opts);
     double secs = t.Seconds();
-    auto mdb = ProjectDatabase(data, r.selected);
+    auto mdb = ProjectSupports(data.features, r.selected);
     auto mq = ProjectQueries(data, r.selected, nullptr);
     double precision = EvaluateMapped(data, mq, mdb, k).precision;
     char label[32];

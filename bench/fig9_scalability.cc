@@ -80,7 +80,7 @@ int Main(int argc, char** argv) {
         out = RunSelector(name, data, p, 1, &secs);
       }
       GDIM_CHECK(out.ok()) << name;
-      auto db_bits = ProjectDatabase(data, out->selected);
+      auto db_bits = ProjectSupports(data.features, out->selected);
       auto q_bits = ProjectQueries(data, out->selected, nullptr);
       precision[name].push_back(
           EvaluateMapped(data, q_bits, db_bits, k).precision);
@@ -95,7 +95,7 @@ int Main(int argc, char** argv) {
       dim.push_back(data.features.feature_graphs()[static_cast<size_t>(r)]);
     }
     FeatureMapper mapper(std::move(dim));
-    auto db_bits = ProjectDatabase(data, dmap->selected);
+    auto db_bits = ProjectSupports(data.features, dmap->selected);
     WallTimer t;
     for (const Graph& q : data.queries) {
       TopK(MappedRanking(mapper.Map(q), db_bits), k);

@@ -101,19 +101,6 @@ Result<SelectionOutput> RunSelector(const std::string& name,
   return out;
 }
 
-std::vector<std::vector<uint8_t>> ProjectDatabase(
-    const PreparedData& data, const std::vector<int>& selected) {
-  std::vector<std::vector<uint8_t>> bits(data.db.size());
-  for (size_t i = 0; i < data.db.size(); ++i) {
-    std::vector<uint8_t> row(selected.size(), 0);
-    for (size_t r = 0; r < selected.size(); ++r) {
-      row[r] = data.features.Contains(static_cast<int>(i), selected[r]) ? 1 : 0;
-    }
-    bits[i] = std::move(row);
-  }
-  return bits;
-}
-
 std::vector<std::vector<uint8_t>> ProjectQueries(
     const PreparedData& data, const std::vector<int>& selected,
     double* seconds) {

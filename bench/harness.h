@@ -7,6 +7,7 @@
 
 #include "common/flags.h"
 #include "core/binary_db.h"
+#include "core/dimension.h"
 #include "core/selector.h"
 #include "core/topk.h"
 #include "datasets/chemgen.h"
@@ -66,10 +67,6 @@ PreparedData PrepareSynthetic(const DataScale& scale,
 Result<SelectionOutput> RunSelector(const std::string& name,
                                     const PreparedData& data, int p,
                                     uint64_t seed, double* seconds);
-
-/// Binary db-graph vectors projected onto the selected dimensions.
-std::vector<std::vector<uint8_t>> ProjectDatabase(
-    const PreparedData& data, const std::vector<int>& selected);
 
 /// Maps every query onto the selected dimensions with VF2 (the online
 /// feature-matching step); *seconds gets the total mapping time.

@@ -8,12 +8,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
-#include "core/index.h"
+#include "core/dimension.h"
 #include "core/measures.h"
 #include "datasets/chemgen.h"
 #include "datasets/fingerprint.h"
 #include "graph/graph_io.h"
+#include "server/sharded_engine.h"
 
 int main(int argc, char** argv) {
   using namespace gdim;
@@ -43,14 +45,24 @@ int main(int argc, char** argv) {
   std::printf("persisted %zu compounds to %s and reloaded %zu\n", db.size(),
               path.c_str(), reloaded->size());
 
-  // DSPM index.
-  IndexOptions options;
+  // DSPM index: build the dimension, then serve its rows.
+  DimensionOptions options;
   options.selector = "DSPM";
   options.p = 80;
-  Result<GraphSearchIndex> index = GraphSearchIndex::Build(*reloaded, options);
-  if (!index.ok()) {
+  Result<BuiltDimension> built = BuildDimension(*reloaded, options);
+  if (!built.ok()) {
     std::fprintf(stderr, "index build failed: %s\n",
-                 index.status().ToString().c_str());
+                 built.status().ToString().c_str());
+    return 1;
+  }
+  const int dims = built->stats.selected_features;
+  PersistedIndex index;
+  index.features = std::move(built->features);
+  index.db_bits = std::move(built->rows);
+  Result<ShardedEngine> engine = ShardedEngine::FromIndex(std::move(index));
+  if (!engine.ok()) {
+    std::fprintf(stderr, "engine failed: %s\n",
+                 engine.status().ToString().c_str());
     return 1;
   }
 
@@ -73,7 +85,7 @@ int main(int argc, char** argv) {
   double dspm_precision = 0.0, fp_precision = 0.0;
   for (const Graph& q : queries) {
     Ranking exact = ExactRanking(q, db);
-    Ranking dspm = index->Query(q, db_size);
+    Ranking dspm = engine->Query(q, {.k = k});
     std::vector<uint8_t> qfp = dict->Fingerprint(q);
     std::vector<double> scores(db.size());
     for (size_t i = 0; i < db.size(); ++i) {
@@ -89,7 +101,7 @@ int main(int argc, char** argv) {
   std::printf("\naverage precision@%d over %d unseen queries\n", k,
               num_queries);
   std::printf("  DSPM (%d dims)        %.3f\n",
-              index->build_stats().selected_features, dspm_precision);
+              dims, dspm_precision);
   std::printf("  fingerprint (%d bits) %.3f\n", dict->bits(), fp_precision);
   std::printf("\nThe automatically identified dimension plays the role of "
               "PubChem's hand-curated 881-bit fingerprint.\n");

@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <map>
 
-#include "core/index.h"
+#include "core/dimension.h"
 #include "datasets/chemgen.h"
 #include "la/solvers.h"
 
@@ -26,18 +26,18 @@ int main() {
   gen.seed = 11;
   GraphDatabase db = GenerateChemDatabase(gen);
 
-  IndexOptions options;
+  DimensionOptions options;
   options.selector = "DSPM";
   options.p = 48;
-  Result<GraphSearchIndex> index = GraphSearchIndex::Build(db, options);
-  if (!index.ok()) {
-    std::fprintf(stderr, "index build failed: %s\n",
-                 index.status().ToString().c_str());
+  Result<BuiltDimension> built = BuildDimension(db, options);
+  if (!built.ok()) {
+    std::fprintf(stderr, "dimension build failed: %s\n",
+                 built.status().ToString().c_str());
     return 1;
   }
 
   // Mapped binary vectors -> dense points for k-means.
-  const auto& bits = index->mapped_database();
+  const auto& bits = built->rows;
   std::vector<std::vector<double>> points(bits.size());
   for (size_t i = 0; i < bits.size(); ++i) {
     points[i].assign(bits[i].begin(), bits[i].end());
@@ -78,7 +78,7 @@ int main() {
   std::printf("clustered %d compounds into %d clusters on a %d-dim mapped "
               "space\n",
               kGraphs, static_cast<int>(sizes.size()),
-              index->build_stats().selected_features);
+              built->stats.selected_features);
   for (const auto& [c, count] : sizes) {
     std::printf("  cluster %d: %d compounds\n", c, count);
   }

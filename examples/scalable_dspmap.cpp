@@ -6,10 +6,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "common/timer.h"
-#include "core/index.h"
+#include "core/dimension.h"
 #include "datasets/chemgen.h"
+#include "server/sharded_engine.h"
 
 int main(int argc, char** argv) {
   using namespace gdim;
@@ -21,19 +23,29 @@ int main(int argc, char** argv) {
   GraphDatabase db = GenerateChemDatabase(gen);
   std::printf("database: %d molecule-like graphs\n", db_size);
 
-  IndexOptions options;
+  DimensionOptions options;
   options.selector = "DSPMap";
   options.p = 100;
   options.dspmap.partition_size = std::max(20, db_size / 20);
 
   WallTimer timer;
-  Result<GraphSearchIndex> index = GraphSearchIndex::Build(db, options);
-  if (!index.ok()) {
+  Result<BuiltDimension> built = BuildDimension(db, options);
+  if (!built.ok()) {
     std::fprintf(stderr, "build failed: %s\n",
-                 index.status().ToString().c_str());
+                 built.status().ToString().c_str());
     return 1;
   }
   double build = timer.Seconds();
+  const DimensionStats stats = built->stats;
+  PersistedIndex index;
+  index.features = std::move(built->features);
+  index.db_bits = std::move(built->rows);
+  Result<ShardedEngine> engine = ShardedEngine::FromIndex(std::move(index));
+  if (!engine.ok()) {
+    std::fprintf(stderr, "engine failed: %s\n",
+                 engine.status().ToString().c_str());
+    return 1;
+  }
 
   const long long full_pairs = static_cast<long long>(db_size) *
                                (db_size - 1) / 2;
@@ -44,15 +56,14 @@ int main(int argc, char** argv) {
               "%lld pairs\n",
               2LL * db_size * b, full_pairs);
   std::printf("  dimensions selected: %d of %d mined\n",
-              index->build_stats().selected_features,
-              index->build_stats().mined_features);
+              stats.selected_features, stats.mined_features);
 
   // Query throughput on the big index.
   GraphDatabase queries = GenerateChemQueries(gen, 50);
   timer.Reset();
   double checksum = 0;
   for (const Graph& q : queries) {
-    Ranking top = index->Query(q, 10);
+    Ranking top = engine->Query(q, {.k = 10});
     checksum += top.front().score;
   }
   double qsecs = timer.Seconds();

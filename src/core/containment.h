@@ -21,7 +21,7 @@ class ContainmentIndex {
  public:
   /// Builds from the database and an already-selected feature dimension.
   /// bit_rows[i][r] must be the containment bit of feature r in db[i]
-  /// (e.g. from BinaryFeatureDb / GraphSearchIndex::mapped_database()).
+  /// (e.g. BuiltDimension::rows, or ProjectSupports over the mined db).
   ContainmentIndex(GraphDatabase db, GraphDatabase features,
                    const std::vector<std::vector<uint8_t>>& bit_rows);
 

@@ -107,16 +107,11 @@ Ranking MappedRanking(const std::vector<uint8_t>& query_bits,
 
 Ranking MappedRanking(const std::vector<uint8_t>& query_bits,
                       const PackedBitMatrix& db_bits) {
-  return MappedTopK(query_bits, db_bits, db_bits.num_rows());
-}
-
-Ranking MappedTopK(const std::vector<uint8_t>& query_bits,
-                   const PackedBitMatrix& db_bits, int k) {
   const std::vector<uint64_t> query = db_bits.PackQuery(query_bits);
   const uint64_t* queries[] = {query.data()};
   std::vector<int> ids(static_cast<size_t>(db_bits.num_rows()));
   std::iota(ids.begin(), ids.end(), 0);
-  HammingTopK top(k);
+  HammingTopK top(db_bits.num_rows());
   ScanTopK(ActiveScanKernel(), db_bits, 0, db_bits.num_rows(), queries, 1,
            ids.data(), nullptr, &top);
   return top.Take(db_bits.num_bits());

@@ -102,12 +102,6 @@ Ranking MappedRanking(const std::vector<uint8_t>& query_bits,
 Ranking MappedRanking(const std::vector<uint8_t>& query_bits,
                       const PackedBitMatrix& db_bits);
 
-/// First k of the packed MappedRanking, selected during the scan: equals
-/// TopK(MappedRanking(query_bits, db_bits), k) without scoring or sorting
-/// every row.
-Ranking MappedTopK(const std::vector<uint8_t>& query_bits,
-                   const PackedBitMatrix& db_bits, int k);
-
 /// First k entries of a ranking (whole ranking if k >= size).
 Ranking TopK(const Ranking& ranking, int k);
 

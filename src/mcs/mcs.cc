@@ -186,140 +186,6 @@ class McGregorSearch {
   bool aborted_ = false;
 };
 
-// Connected MCES --------------------------------------------------------------
-
-// Growth-based branch and bound for the *connected* maximum common edge
-// subgraph. For every compatible seed pair (u0,v0) it enumerates, via
-// set-enumeration with per-level pair bans (each mapped-pair set visited
-// once), all connected common subgraphs containing that pair; after a seed is
-// fully explored the pair is banned globally (any solution containing it has
-// been counted). Completeness follows from: a connected common subgraph can
-// always be grown from any of its pairs by adding vertices adjacent through
-// matched edges.
-class ConnectedMcsSearch {
- public:
-  ConnectedMcsSearch(const Graph& pattern, const Graph& target,
-                     const McsOptions& options)
-      : pattern_(pattern), target_(target), options_(options) {}
-
-  McsResult Run() {
-    McsResult result;
-    upper_cap_ = EdgeLabelIntersectionBound(pattern_, target_);
-    if (pattern_.NumEdges() == 0 || target_.NumEdges() == 0 ||
-        upper_cap_ == 0) {
-      return result;
-    }
-    const int np = pattern_.NumVertices();
-    const int nt = target_.NumVertices();
-    mapping_.assign(static_cast<size_t>(np), -1);
-    used_.assign(static_cast<size_t>(nt), false);
-    banned_.assign(static_cast<size_t>(np) * static_cast<size_t>(nt), false);
-    for (VertexId u = 0; u < np && !aborted_; ++u) {
-      for (VertexId v = 0; v < nt && !aborted_; ++v) {
-        if (pattern_.VertexLabel(u) != target_.VertexLabel(v)) continue;
-        if (banned_[PairIndex(u, v)]) continue;
-        mapping_[static_cast<size_t>(u)] = v;
-        used_[static_cast<size_t>(v)] = true;
-        Grow(/*matched=*/0);
-        used_[static_cast<size_t>(v)] = false;
-        mapping_[static_cast<size_t>(u)] = -1;
-        banned_[PairIndex(u, v)] = true;  // global: all solutions with (u,v) done
-      }
-    }
-    result.common_edges = best_;
-    result.optimal = !aborted_;
-    result.nodes = nodes_;
-    return result;
-  }
-
- private:
-  size_t PairIndex(VertexId u, VertexId v) const {
-    return static_cast<size_t>(u) * static_cast<size_t>(target_.NumVertices()) +
-           static_cast<size_t>(v);
-  }
-
-  // Optimistic bound: matched + feasible pattern edges that still have an
-  // unmapped endpoint (an edge with both endpoints mapped is already matched
-  // or permanently absent from this growth branch).
-  int Bound(int matched) const {
-    int open = 0;
-    for (EdgeId e = 0; e < pattern_.NumEdges(); ++e) {
-      const Edge& edge = pattern_.GetEdge(e);
-      if (mapping_[static_cast<size_t>(edge.u)] < 0 ||
-          mapping_[static_cast<size_t>(edge.v)] < 0) {
-        ++open;
-      }
-    }
-    return std::min(matched + open, upper_cap_);
-  }
-
-  void Grow(int matched) {
-    if (options_.max_nodes != 0 && nodes_ >= options_.max_nodes) {
-      aborted_ = true;
-      return;
-    }
-    ++nodes_;
-    best_ = std::max(best_, matched);
-    if (best_ >= upper_cap_) return;
-    if (Bound(matched) <= best_) return;
-
-    // Candidates: (u,v) with u unmapped, v unused, compatible labels, not
-    // banned, and at least one matched edge into the current mapping.
-    std::vector<std::tuple<VertexId, VertexId, int>> candidates;
-    for (VertexId u = 0; u < pattern_.NumVertices(); ++u) {
-      if (mapping_[static_cast<size_t>(u)] >= 0) continue;
-      for (VertexId v = 0; v < target_.NumVertices(); ++v) {
-        if (used_[static_cast<size_t>(v)]) continue;
-        if (banned_[PairIndex(u, v)]) continue;
-        if (pattern_.VertexLabel(u) != target_.VertexLabel(v)) continue;
-        int gain = Gain(u, v);
-        if (gain > 0) candidates.emplace_back(u, v, gain);
-      }
-    }
-    // Larger immediate gain first: finds strong incumbents early.
-    std::sort(candidates.begin(), candidates.end(),
-              [](const auto& a, const auto& b) {
-                return std::get<2>(a) > std::get<2>(b);
-              });
-    std::vector<size_t> banned_here;
-    for (const auto& [u, v, gain] : candidates) {
-      if (aborted_) break;
-      mapping_[static_cast<size_t>(u)] = v;
-      used_[static_cast<size_t>(v)] = true;
-      Grow(matched + gain);
-      used_[static_cast<size_t>(v)] = false;
-      mapping_[static_cast<size_t>(u)] = -1;
-      size_t idx = PairIndex(u, v);
-      banned_[idx] = true;  // later branches at this node exclude (u,v)
-      banned_here.push_back(idx);
-    }
-    for (size_t idx : banned_here) banned_[idx] = false;
-  }
-
-  // Matched edges from u (about to map to v) into the current mapping.
-  int Gain(VertexId u, VertexId v) const {
-    int gain = 0;
-    for (const AdjEntry& e : pattern_.Neighbors(u)) {
-      VertexId image = mapping_[static_cast<size_t>(e.neighbor)];
-      if (image < 0) continue;
-      EdgeId te = target_.FindEdge(v, image);
-      if (te >= 0 && target_.GetEdge(te).label == e.edge_label) ++gain;
-    }
-    return gain;
-  }
-
-  const Graph& pattern_;
-  const Graph& target_;
-  McsOptions options_;
-  std::vector<int> mapping_;
-  std::vector<bool> used_;
-  std::vector<bool> banned_;
-  int upper_cap_ = 0;
-  int best_ = 0;
-  uint64_t nodes_ = 0;
-  bool aborted_ = false;
-};
-
 // Clique-based MCES (the RASCAL reduction): one product node per
 // label-compatible *oriented* (pattern edge, target edge) pair; two nodes
 // are adjacent iff their unioned endpoint correspondences form a consistent
@@ -385,10 +251,6 @@ McsResult MaxCommonEdgeSubgraph(const Graph& a, const Graph& b,
   // Use the smaller graph (by vertices) as the pattern to shrink the tree.
   const Graph& pattern = a.NumVertices() <= b.NumVertices() ? a : b;
   const Graph& target = a.NumVertices() <= b.NumVertices() ? b : a;
-  if (options.connected) {
-    ConnectedMcsSearch search(pattern, target, options);
-    return search.Run();
-  }
   const int upper_cap =
       std::min(EdgeLabelIntersectionBound(pattern, target),
                std::min(pattern.NumEdges(), target.NumEdges()));

@@ -19,18 +19,14 @@ enum class McsAlgorithm {
   kMcGregor,
 };
 
-/// Options for maximum common subgraph computation.
+/// Options for maximum common subgraph computation. The common subgraph is
+/// unconstrained (it may be disconnected), as in the paper's mcs(,).
 struct McsOptions {
-  /// Require the common subgraph to be connected. The paper's mcs(,) is the
-  /// unconstrained maximum common (edge) subgraph, the default here.
-  bool connected = false;
-
   /// Branch-and-bound node budget; 0 = unlimited. If exhausted the search
   /// returns the best solution found so far with optimal=false.
   uint64_t max_nodes = 0;
 
-  /// Algorithm choice (ignored for connected mode, which has its own
-  /// growth-based search).
+  /// Algorithm choice.
   McsAlgorithm algorithm = McsAlgorithm::kAuto;
 };
 

@@ -1,11 +1,8 @@
 #include "reindex/dimension_refresher.h"
 
-#include <memory>
+#include <string>
 #include <system_error>
 #include <utility>
-
-#include "common/timer.h"
-#include "core/binary_db.h"
 
 namespace gdim {
 
@@ -14,94 +11,9 @@ Result<RefreshedGeneration> BuildGeneration(const FrozenGraphSet& frozen,
   if (frozen.empty()) {
     return Status::InvalidArgument("cannot refresh an empty live set");
   }
-  if (options.p <= 0) {
-    return Status::InvalidArgument(
-        "refresh p must be resolved to a positive dimension count, got " +
-        std::to_string(options.p));
-  }
-
-  // Phase 1: mine the candidate feature set over the live graphs. Pattern
-  // support sets double as the fingerprints later — no VF2 for the frozen
-  // set.
-  WallTimer timer;
-  Result<std::vector<FrequentPattern>> mined =
-      MineFrequentSubgraphs(frozen.graphs, options.mining);
-  if (!mined.ok()) return mined.status();
-  if (mined->empty()) {
-    return Status::NotFound(
-        "no frequent subgraphs in the live set at this support");
-  }
-  RefreshedGeneration generation;
-  generation.mining_seconds = timer.Seconds();
-  generation.mined_features = static_cast<int>(mined->size());
-  BinaryFeatureDb features = BinaryFeatureDb::FromPatterns(
-      static_cast<int>(frozen.graphs.size()), *mined);
-
-  // Phase 2+3: selection. DSPMap goes through its lazy-dissimilarity path
-  // (it evaluates δ only inside partition and overlap blocks); every other
-  // selector runs through the registry, with the full δ matrix computed
-  // only when it asks for one.
-  timer.Reset();
-  std::vector<int> selected;
-  if (options.selector == "DSPMap") {
-    DspmapOptions dopt = options.dspmap;
-    dopt.p = options.p;
-    dopt.seed = options.seed;
-    dopt.dspm.threads = options.threads;
-    DspmapResult r =
-        RunDspmap(features, frozen.graphs, options.dissimilarity, dopt);
-    selected = std::move(r.selected);
-  } else {
-    std::unique_ptr<FeatureSelector> selector =
-        MakeSelector(options.selector);
-    if (selector == nullptr) {
-      return Status::InvalidArgument("unknown selector: " + options.selector);
-    }
-    DissimilarityMatrix delta;
-    if (selector->NeedsDissimilarity()) {
-      delta = DissimilarityMatrix::Compute(
-          frozen.graphs, options.dissimilarity, {}, options.threads);
-    }
-    SelectionInput input;
-    input.db = &features;
-    input.delta = delta.size() > 0 ? &delta : nullptr;
-    input.p = options.p;
-    input.seed = options.seed;
-    input.threads = options.threads;
-    input.params = options.params;
-    input.dspm = options.dspm;
-    input.dspmap = options.dspmap;
-    Result<SelectionOutput> out = selector->Select(input);
-    if (!out.ok()) return out.status();
-    selected = std::move(out->selected);
-  }
-  if (static_cast<int>(selected.size()) > options.p) {
-    selected.resize(static_cast<size_t>(options.p));
-  }
-  if (selected.empty()) {
-    return Status::NotFound("selector '" + options.selector +
-                            "' selected no features");
-  }
-  generation.selection_seconds = timer.Seconds();
-
-  // Phase 4: materialize the dimension and the frozen set's fingerprints
-  // from the mined supports (exact, VF2-free, and bit-identical to what
-  // FeatureMapper::Map would produce for the same graphs).
-  generation.features.reserve(selected.size());
-  for (int r : selected) {
-    generation.features.push_back(
-        features.feature_graphs()[static_cast<size_t>(r)]);
-  }
-  generation.ids = frozen.ids;
-  generation.fingerprints.resize(frozen.graphs.size());
-  for (size_t i = 0; i < frozen.graphs.size(); ++i) {
-    std::vector<uint8_t> bits(selected.size(), 0);
-    for (size_t r = 0; r < selected.size(); ++r) {
-      bits[r] =
-          features.Contains(static_cast<int>(i), selected[r]) ? 1 : 0;
-    }
-    generation.fingerprints[i] = std::move(bits);
-  }
+  Result<BuiltDimension> built = BuildDimension(frozen.graphs, options);
+  if (!built.ok()) return built.status();
+  RefreshedGeneration generation{std::move(built).value(), frozen.ids};
   return generation;
 }
 

@@ -1,54 +1,23 @@
 #ifndef GDIM_REINDEX_DIMENSION_REFRESHER_H_
 #define GDIM_REINDEX_DIMENSION_REFRESHER_H_
 
-#include <cstdint>
 #include <functional>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/status.h"
 #include "common/sync.h"
-#include "core/dspm.h"
-#include "core/dspmap.h"
-#include "core/selector.h"
-#include "mcs/dissimilarity.h"
-#include "mining/gspan.h"
+#include "core/dimension.h"
 #include "store/graph_store.h"
 
 namespace gdim {
 
-/// Knobs for one dimension refresh. Defaults follow the serving story:
-/// DSPMap (the paper's scalable selector — it evaluates dissimilarities
-/// lazily per partition block, so a refresh never computes the O(n²) δ
-/// matrix) over a freshly mined candidate set, keeping the current
-/// dimension count.
-struct RefreshOptions {
-  /// Selector by paper name ("DSPMap", "DSPM", "Sample", ...); resolved
-  /// through the core/selector.h registry, so every selector the offline
-  /// build supports is available online.
-  std::string selector = "DSPMap";
-
-  /// Number of dimensions to select; 0 = keep the serving engine's current
-  /// dimension count. (BuildGeneration itself requires a resolved p > 0 —
-  /// the 0 sentinel is resolved by the caller, who knows the engine.)
-  int p = 0;
-
-  /// Candidate mining over the frozen live set.
-  MiningOptions mining;
-
-  /// Dissimilarity for the selectors that need one (DSPMap blocks, DSPM /
-  /// SFS full matrix).
-  DissimilarityKind dissimilarity = DissimilarityKind::kDelta2;
-
-  /// Selector-specific knobs, mirroring IndexOptions.
-  SelectorParams params;
-  DspmOptions dspm;
-  DspmapOptions dspmap;
-
-  uint64_t seed = 1;
-  int threads = 0;
-
+/// Knobs for one dimension refresh: the offline build's options plus a test
+/// hook. The defaults follow the serving story: DSPMap (the paper's
+/// scalable selector, which never computes the O(n²) δ matrix) over a
+/// freshly mined candidate set, and p = 0, which keeps the serving engine's
+/// current dimension count (the caller, who knows the engine, resolves it).
+struct RefreshOptions : DimensionOptions {
   /// Test hook: invoked on the refresh thread after the freeze has been
   /// taken and before mining/selection begins. Tests park a refresh here
   /// deterministically (e.g. blocking on a FIFO open) to prove queries and
@@ -57,30 +26,18 @@ struct RefreshOptions {
   std::function<void()> selection_gate;
 };
 
-/// The product of one refresh: a freshly selected dimension over the frozen
-/// live set, plus every frozen graph's fingerprint on it. fingerprints[i]
-/// belongs to external id ids[i] (ascending) — exactly the shape a
+/// The product of one refresh: BuildDimension over the frozen live set, with
+/// rows[i] belonging to external id ids[i] (ascending) — exactly the shape a
 /// PersistedIndex wants, so installing a generation is a FromIndex away.
-/// Fingerprints come from the mined support sets (no VF2 needed for the
-/// frozen graphs), which agree bit-for-bit with FeatureMapper::Map — both
-/// answer "is feature f subgraph-isomorphic to g" exactly.
-struct RefreshedGeneration {
-  GraphDatabase features;
+struct RefreshedGeneration : BuiltDimension {
   std::vector<int> ids;
-  std::vector<std::vector<uint8_t>> fingerprints;
-  int mined_features = 0;       ///< candidate set size before selection
-  double mining_seconds = 0.0;
-  double selection_seconds = 0.0;
 };
 
-/// The synchronous refresh pipeline: mine frequent subgraphs over the
-/// frozen live set, run the configured selector, and materialize the new
-/// dimension + fingerprints. Deterministic in (frozen set, options):
-/// mining order is DFS-lexicographic and every selector is seeded, so two
-/// runs over the same live set produce bit-identical generations — the
-/// property the swap-equivalence tests (online swap vs offline rebuild)
-/// lean on. Runs wherever called; the refresher below runs it on a
-/// background thread.
+/// The synchronous refresh pipeline: BuildDimension over the frozen live
+/// set (InvalidArgument if it is empty), tagged with the frozen ids.
+/// Deterministic in (frozen set, options), the property the
+/// swap-equivalence tests (online swap vs offline rebuild) lean on. Runs
+/// wherever called; the refresher below runs it on a background thread.
 Result<RefreshedGeneration> BuildGeneration(const FrozenGraphSet& frozen,
                                             const RefreshOptions& options);
 

@@ -780,7 +780,7 @@ Result<ReindexReport> BatchExecutor::InstallGeneration(
                                      generation.ids.end(), id);
     if (it != generation.ids.end() && *it == id) {
       index.db_bits.push_back(std::move(
-          generation.fingerprints[static_cast<size_t>(
+          generation.rows[static_cast<size_t>(
               it - generation.ids.begin())]));
     } else {
       const Graph* graph = store_->FindLive(id);

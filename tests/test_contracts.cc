@@ -7,7 +7,6 @@
 #include "core/objective.h"
 #include "graph/graph.h"
 #include "mcs/dissimilarity.h"
-#include "mcs/edit_distance.h"
 
 namespace gdim {
 namespace {
@@ -51,14 +50,6 @@ TEST(ObjectiveContractTest, MatrixSizeMismatchRejected) {
 
 TEST(DissimilarityContractTest, DenseBufferSizeChecked) {
   EXPECT_DEATH(DissimilarityMatrix::FromDense(2, {0.0, 1.0}), "size mismatch");
-}
-
-TEST(GedContractTest, NegativeCostsRejected) {
-  Graph g;
-  g.AddVertex(0);
-  EditCosts costs;
-  costs.vertex_indel = -1.0;
-  EXPECT_DEATH(GraphEditDistance(g, g, costs), "non-negative");
 }
 
 TEST(MappedDistanceContractTest, WidthMismatchRejected) {

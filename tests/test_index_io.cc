@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,7 +16,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/sync.h"
-#include "core/index.h"
+#include "core/dimension.h"
 #include "core/index_io.h"
 #include "core/topk.h"
 #include "datasets/chemgen.h"
@@ -880,37 +881,36 @@ TEST(IndexIoTest, FailedWriteLeavesTheOldFileIntact) {
 }
 
 TEST(IndexIoTest, EndToEndServeFromDisk) {
-  // Build an index, persist its dimension + vectors, reload, and verify a
-  // query answered from the reloaded artifacts matches the live index.
+  // Build a dimension, persist it with its rows, reload, and verify a query
+  // answered from the reloaded artifacts matches an engine serving the
+  // build.
   ChemGenOptions gen;
   gen.num_graphs = 40;
   GraphDatabase db = GenerateChemDatabase(gen);
-  IndexOptions options;
+  DimensionOptions options;
   options.selector = "DSPM";
   options.p = 24;
   options.mining.min_support = 0.1;
   options.mining.max_edges = 4;
-  Result<GraphSearchIndex> index = GraphSearchIndex::Build(db, options);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  Result<BuiltDimension> built = BuildDimension(db, options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
 
   PersistedIndex p;
-  p.features = index->dimension();
-  p.db_bits = index->mapped_database();
+  p.features = built->features;
+  p.db_bits = built->rows;
   std::string path = ::testing::TempDir() + "/gdim_served.idx";
   ASSERT_TRUE(WriteV3IndexFile(p, path).ok());
   Result<PersistedIndex> back = ReadIndexFileBytes(path);
   ASSERT_TRUE(back.ok());
+  Result<ShardedEngine> live = ShardedEngine::FromIndex(std::move(p));
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
 
   GraphDatabase queries = GenerateChemQueries(gen, 3);
   FeatureMapper mapper(back->features);
   for (const Graph& q : queries) {
     Ranking from_disk = MappedRanking(mapper.Map(q), back->db_bits);
-    Ranking live = index->Query(q, static_cast<int>(db.size()));
-    ASSERT_EQ(from_disk.size(), live.size());
-    for (size_t i = 0; i < live.size(); ++i) {
-      EXPECT_EQ(from_disk[i].id, live[i].id);
-      EXPECT_DOUBLE_EQ(from_disk[i].score, live[i].score);
-    }
+    EXPECT_EQ(from_disk,
+              live->Query(q, {.k = static_cast<int>(db.size())}));
   }
 }
 

@@ -7,11 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/random.h"
-#include "core/index.h"
+#include "core/dimension.h"
 #include "core/index_io.h"
 #include "core/mapper.h"
 #include "datasets/chemgen.h"
@@ -59,14 +60,14 @@ class ChemMapperTest : public ::testing::Test {
     gen.min_vertices = 8;
     gen.max_vertices = 16;
     const GraphDatabase sample = GenerateChemDatabase(gen);
-    IndexOptions opts;
+    DimensionOptions opts;
     opts.selector = "DSPMap";
     opts.p = 64;
     opts.mining.min_support = 0.1;
     opts.mining.max_edges = 5;
-    auto built = GraphSearchIndex::Build(sample, opts);
+    auto built = BuildDimension(sample, opts);
     GDIM_CHECK(built.ok()) << built.status().ToString();
-    features_ = new GraphDatabase(built->dimension());
+    features_ = new GraphDatabase(std::move(built->features));
     queries_ = new GraphDatabase(GenerateChemQueries(gen, 150));
   }
 

@@ -92,49 +92,6 @@ TEST_P(McsRandomTest, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, McsRandomTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
-TEST(ConnectedMcsTest, AtMostUnconstrained) {
-  Rng rng(31);
-  McsOptions connected;
-  connected.connected = true;
-  for (int round = 0; round < 10; ++round) {
-    Graph a = RandomConnectedGraph(6, 2, 2, 2, &rng);
-    Graph b = RandomConnectedGraph(6, 2, 2, 2, &rng);
-    int unconstrained = McsSize(a, b);
-    int conn = MaxCommonEdgeSubgraph(a, b, connected).common_edges;
-    EXPECT_LE(conn, unconstrained) << "round " << round;
-    EXPECT_GE(conn, unconstrained > 0 ? 1 : 0);
-  }
-}
-
-TEST(ConnectedMcsTest, IdenticalConnectedGraph) {
-  Graph g = LabeledPath({1, 2, 3, 1}, 0);
-  McsOptions opts;
-  opts.connected = true;
-  EXPECT_EQ(MaxCommonEdgeSubgraph(g, g, opts).common_edges, g.NumEdges());
-}
-
-TEST(ConnectedMcsTest, ForcedDisconnectedCommonStructure) {
-  // a: path (1)-(2) plus path (3)-(4); b has both pieces but never joined.
-  Graph a;
-  a.AddVertex(1);
-  a.AddVertex(2);
-  a.AddVertex(3);
-  a.AddVertex(4);
-  a.AddEdge(0, 1, 0);
-  a.AddEdge(2, 3, 0);
-  Graph b;
-  b.AddVertex(1);
-  b.AddVertex(2);
-  b.AddVertex(3);
-  b.AddVertex(4);
-  b.AddEdge(0, 1, 0);
-  b.AddEdge(2, 3, 0);
-  EXPECT_EQ(McsSize(a, b), 2);
-  McsOptions opts;
-  opts.connected = true;
-  EXPECT_EQ(MaxCommonEdgeSubgraph(a, b, opts).common_edges, 1);
-}
-
 // Property: both exact algorithms agree on random graphs.
 class McsAlgorithmEquivalenceTest : public ::testing::TestWithParam<int> {};
 

@@ -1,5 +1,5 @@
-// Reindex subsystem tests: the background dimension refresh produces
-// deterministic generations, the hot swap is bit-identical to an offline
+// Reindex subsystem tests: the background dimension refresh wraps the
+// offline dimension build with the frozen ids, the hot swap is bit-identical to an offline
 // rebuild over the same live set and seed (across shard counts, thread
 // counts, and prefilter settings), epoch/generation counters prove the
 // result cache never crosses a generation boundary, and — via a FIFO-parked
@@ -84,68 +84,36 @@ PersistedIndex InitialIndex(const GraphDatabase& db,
   EXPECT_TRUE(generation.ok()) << generation.status().ToString();
   PersistedIndex index;
   index.features = std::move(generation->features);
-  index.db_bits = std::move(generation->fingerprints);
+  index.db_bits = std::move(generation->rows);
   index.ids = std::move(generation->ids);
   return index;
 }
 
 // ------------------------------------------------------------- pipeline --
 
-TEST(BuildGenerationTest, DeterministicInFrozenSetAndSeed) {
-  const GraphDatabase db = GenerateChemDatabase(SmallChem(18, 11));
-  GraphStore store = StoreOf(db);
-  ScopedRole writer(&store.writer_role());
-  const RefreshOptions options = FastRefresh("DSPMap", 8, 5);
-  Result<RefreshedGeneration> a = BuildGeneration(store.Freeze(), options);
-  Result<RefreshedGeneration> b = BuildGeneration(store.Freeze(), options);
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->features.size(), 8u);
-  ASSERT_EQ(a->features.size(), b->features.size());
-  for (size_t r = 0; r < a->features.size(); ++r) {
-    EXPECT_EQ(a->features[r], b->features[r]) << "feature " << r;
-  }
-  EXPECT_EQ(a->ids, b->ids);
-  EXPECT_EQ(a->fingerprints, b->fingerprints);
-  EXPECT_GE(a->mined_features, 8);
-}
-
-TEST(BuildGenerationTest, FingerprintsAgreeWithTheMapper) {
-  // Support-set fingerprints (mining) and VF2 fingerprints (mapper) answer
-  // the same subgraph-isomorphism question — the property the swap
-  // reconcile path depends on.
-  const GraphDatabase db = GenerateChemDatabase(SmallChem(16, 3));
-  GraphStore store = StoreOf(db);
-  ScopedRole writer(&store.writer_role());
-  Result<RefreshedGeneration> generation =
-      BuildGeneration(store.Freeze(), FastRefresh("DSPMap", 6, 9));
-  ASSERT_TRUE(generation.ok()) << generation.status().ToString();
-  const FeatureMapper mapper(generation->features);
-  for (size_t i = 0; i < db.size(); ++i) {
-    EXPECT_EQ(generation->fingerprints[i], mapper.Map(db[i])) << "graph " << i;
-  }
-}
-
-TEST(BuildGenerationTest, RejectsDegenerateInputs) {
-  const GraphDatabase db = GenerateChemDatabase(SmallChem(8, 1));
-  GraphStore store = StoreOf(db);
-  ScopedRole writer(&store.writer_role());
+TEST(BuildGenerationTest, WrapsBuildDimensionWithTheFrozenIds) {
+  // Mining, selection and their determinism are BuildDimension's
+  // (test_build_dimension); the wrapper adds the empty-set check and the
+  // frozen ids.
   EXPECT_EQ(
       BuildGeneration(FrozenGraphSet{}, FastRefresh("DSPMap", 4, 1)).status()
           .code(),
       StatusCode::kInvalidArgument);
-  EXPECT_EQ(BuildGeneration(store.Freeze(), FastRefresh("DSPMap", 0, 1))
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(BuildGeneration(store.Freeze(), FastRefresh("NoSuchSelector", 4, 1))
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  RefreshOptions impossible = FastRefresh("DSPMap", 4, 1);
-  impossible.mining.min_support_count = 1000;  // nothing is that frequent
-  EXPECT_EQ(BuildGeneration(store.Freeze(), impossible).status().code(),
-            StatusCode::kNotFound);
+  const GraphDatabase db = GenerateChemDatabase(SmallChem(12, 1));
+  GraphStore store;
+  ScopedRole writer(&store.writer_role());
+  for (size_t i = 0; i < db.size(); ++i) {  // sparse ids: 0, 3, 6, ...
+    ASSERT_TRUE(store.Put(static_cast<int>(3 * i), db[i]).ok());
+  }
+  const FrozenGraphSet frozen = store.Freeze();
+  const RefreshOptions options = FastRefresh("DSPMap", 5, 9);
+  Result<RefreshedGeneration> generation = BuildGeneration(frozen, options);
+  ASSERT_TRUE(generation.ok()) << generation.status().ToString();
+  Result<BuiltDimension> built = BuildDimension(frozen.graphs, options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_EQ(generation->ids, frozen.ids);
+  EXPECT_EQ(generation->features, built->features);
+  EXPECT_EQ(generation->rows, built->rows);
 }
 
 // ------------------------------------------------------ generation swap --
@@ -308,7 +276,7 @@ TEST(ReindexDifferentialTest, SwapMatchesOfflineRebuild) {
         ASSERT_TRUE(offline.ok()) << offline.status().ToString();
         PersistedIndex offline_index;
         offline_index.features = std::move(offline->features);
-        offline_index.db_bits = std::move(offline->fingerprints);
+        offline_index.db_bits = std::move(offline->rows);
         offline_index.ids = std::move(offline->ids);
         auto offline_engine =
             ShardedEngine::FromIndex(std::move(offline_index), engine_opts);

@@ -77,7 +77,7 @@ PersistedIndex InitialIndex(const GraphDatabase& db,
   EXPECT_TRUE(generation.ok()) << generation.status().ToString();
   PersistedIndex index;
   index.features = std::move(generation->features);
-  index.db_bits = std::move(generation->fingerprints);
+  index.db_bits = std::move(generation->rows);
   index.ids = std::move(generation->ids);
   return index;
 }

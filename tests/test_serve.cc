@@ -11,7 +11,7 @@
 #include "common/histogram.h"
 #include "common/random.h"
 #include "common/sync.h"
-#include "core/index.h"
+#include "core/dimension.h"
 #include "core/index_io.h"
 #include "core/objective.h"
 #include "core/packed_bits.h"
@@ -193,17 +193,17 @@ class QueryEngineTest : public ::testing::Test {
     db_ = new GraphDatabase(GenerateChemDatabase(gen));
     // 70 queries: several tiles per batch, one of them partial.
     queries_ = new GraphDatabase(GenerateChemQueries(gen, 70));
-    IndexOptions opts;
+    DimensionOptions opts;
     opts.mining.min_support = 0.15;
     opts.mining.max_edges = 4;
     opts.selector = "DSPM";
     opts.p = 30;
     opts.dspm.max_iters = 10;
-    auto built = GraphSearchIndex::Build(*db_, opts);
+    auto built = BuildDimension(*db_, opts);
     GDIM_CHECK(built.ok()) << built.status().ToString();
     index_ = new PersistedIndex();
-    index_->features = built->dimension();
-    index_->db_bits = built->mapped_database();
+    index_->features = std::move(built->features);
+    index_->db_bits = std::move(built->rows);
   }
 
   static void TearDownTestSuite() {

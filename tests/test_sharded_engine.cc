@@ -15,7 +15,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/sync.h"
-#include "core/index.h"
+#include "core/dimension.h"
 #include "core/index_io.h"
 #include "core/mapper.h"
 #include "datasets/chemgen.h"
@@ -49,17 +49,17 @@ class ShardedEngineTest : public ::testing::Test {
     // >= 64 queries so QueryBatch crosses ParallelFor's serial threshold
     // and the thread-determinism assertions actually spawn workers.
     queries_ = new GraphDatabase(GenerateChemQueries(gen, 70));
-    IndexOptions opts;
+    DimensionOptions opts;
     opts.mining.min_support = 0.15;
     opts.mining.max_edges = 4;
     opts.selector = "DSPM";
     opts.p = 30;
     opts.dspm.max_iters = 10;
-    auto built = GraphSearchIndex::Build(*db_, opts);
+    auto built = BuildDimension(*db_, opts);
     GDIM_CHECK(built.ok()) << built.status().ToString();
     index_ = new PersistedIndex();
-    index_->features = built->dimension();
-    index_->db_bits = built->mapped_database();
+    index_->features = std::move(built->features);
+    index_->db_bits = std::move(built->rows);
   }
 
   static void TearDownTestSuite() {

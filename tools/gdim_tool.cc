@@ -33,7 +33,7 @@
 #include "common/flags.h"
 #include "common/sync.h"
 #include "common/timer.h"
-#include "core/index.h"
+#include "core/dimension.h"
 #include "core/index_io.h"
 #include "core/topk.h"
 #include "datasets/chemgen.h"
@@ -187,21 +187,22 @@ int RunBuild(const Flags& flags) {
   if (db_path.empty() || out.empty()) return Usage();
   Result<GraphDatabase> db = ReadGraphFile(db_path);
   if (!db.ok()) return Fail(db.status());
-  IndexOptions opts;
+  DimensionOptions opts;
   opts.selector = flags.GetString("selector", "DSPM");
   opts.p = flags.GetInt("p", 100);
   opts.mining.min_support = flags.GetDouble("minsup", 0.05);
   opts.mining.max_edges = flags.GetInt("maxedges", 7);
   opts.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   WallTimer timer;
-  Result<GraphSearchIndex> index = GraphSearchIndex::Build(*db, opts);
-  if (!index.ok()) return Fail(index.status());
+  Result<BuiltDimension> built = BuildDimension(*db, opts);
+  if (!built.ok()) return Fail(built.status());
+  const DimensionStats st = built->stats;
   // The built rows seed a serving engine, and its snapshot carries the
   // database as the graph store: the file loads with its IVF layout and
   // can REINDEX with no --db.
   PersistedIndex persisted;
-  persisted.features = index->dimension();
-  persisted.db_bits = index->mapped_database();
+  persisted.features = std::move(built->features);
+  persisted.db_bits = std::move(built->rows);
   Result<ShardedEngine> engine = ShardedEngine::FromIndex(std::move(persisted));
   if (!engine.ok()) return Fail(engine.status());
   const size_t num_graphs = db->size();
@@ -212,7 +213,6 @@ int RunBuild(const Flags& flags) {
   frozen.store->graphs = std::move(db).value();
   Status s = ShardedEngine::WriteSnapshot(frozen, out);
   if (!s.ok()) return Fail(s);
-  const IndexBuildStats& st = index->build_stats();
   std::printf("built %s index over %zu graphs in %.2fs "
               "(mine %.2fs + delta %.2fs + select %.2fs): %d of %d features "
               "-> %s\n",
