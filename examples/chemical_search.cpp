@@ -8,6 +8,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <string>
+#include <system_error>
 #include <utility>
 
 #include "core/dimension.h"
@@ -29,21 +32,28 @@ int main(int argc, char** argv) {
   GraphDatabase db = GenerateChemDatabase(gen);
   GraphDatabase queries = GenerateChemQueries(gen, num_queries);
 
-  // Persist and re-load the database to show the storage format round-trip.
-  const std::string path = "/tmp/gdim_compounds.gdb";
-  Status io = WriteGraphFile(db, path);
-  if (!io.ok()) {
-    std::fprintf(stderr, "write failed: %s\n", io.ToString().c_str());
+  // Persist and re-load the database to show the storage format round-trip,
+  // in a fresh private directory so concurrent runs never share the file.
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "gdim_compounds.XXXXXX")
+          .string();
+  if (::mkdtemp(dir.data()) == nullptr) {
+    std::perror("mkdtemp");
     return 1;
   }
-  Result<GraphDatabase> reloaded = ReadGraphFile(path);
+  const std::string path = dir + "/compounds.gdb";
+  Status io = WriteGraphFile(db, path);
+  Result<GraphDatabase> reloaded =
+      io.ok() ? ReadGraphFile(path) : Result<GraphDatabase>(io);
+  std::error_code ignored;
+  std::filesystem::remove_all(dir, ignored);
   if (!reloaded.ok()) {
-    std::fprintf(stderr, "read failed: %s\n",
+    std::fprintf(stderr, "round-trip through %s failed: %s\n", path.c_str(),
                  reloaded.status().ToString().c_str());
     return 1;
   }
-  std::printf("persisted %zu compounds to %s and reloaded %zu\n", db.size(),
-              path.c_str(), reloaded->size());
+  std::printf("persisted %zu compounds as gSpan text and reloaded %zu\n",
+              db.size(), reloaded->size());
 
   // DSPM index: build the dimension, then serve its rows.
   DimensionOptions options;

@@ -86,14 +86,14 @@ Result<PersistedIndex> ReadIndexFileV1(const std::string& path) {
   }
   std::getline(in, line);  // consume EOL
   // Read exactly p graphs: collect the lines until the 'vectors' header.
-  std::ostringstream graph_text;
+  std::string graph_text;
   while (std::getline(in, line)) {
     StripTrailingCarriageReturn(&line);
     if (line.rfind("vectors ", 0) == 0) break;
-    graph_text << line << "\n";
+    graph_text += line;
+    graph_text += '\n';
   }
-  std::istringstream graph_stream(graph_text.str());
-  Result<GraphDatabase> features = ReadGraphStream(graph_stream);
+  Result<GraphDatabase> features = ParseGraphText(graph_text);
   if (!features.ok()) return features.status();
   if (features->size() != p) {
     return Status::ParseError("feature count mismatch");
@@ -159,8 +159,7 @@ Result<PackedIndex> ReadDimsRegion(std::istream& in, uint64_t region_bytes) {
     return Status::ParseError("truncated feature section");
   }
   left -= feature_bytes;
-  std::istringstream feature_stream(feature_text);
-  Result<GraphDatabase> features = ReadGraphStream(feature_stream);
+  Result<GraphDatabase> features = ParseGraphText(feature_text);
   if (!features.ok()) return features.status();
   if (features->size() != p) {
     return Status::ParseError("feature count mismatch");
@@ -309,8 +308,7 @@ Result<PersistedStore> ReadStoreSection(std::istream& in, uint64_t len,
       !in.read(text.data(), static_cast<std::streamsize>(text_bytes))) {
     return Status::ParseError("truncated store section");
   }
-  std::istringstream stream(text);
-  Result<GraphDatabase> graphs = ReadGraphStream(stream);
+  Result<GraphDatabase> graphs = ParseGraphText(text);
   if (!graphs.ok()) return graphs.status();
   if (graphs->size() != count) {
     return Status::ParseError("store graph count does not match the index");
@@ -741,15 +739,10 @@ Status WriteIndexFileV3Words(
     }
   }
 
-  std::ostringstream feature_text;
-  WriteGraphStream(features, feature_text);
-  const std::string feature_str = feature_text.str();
-  std::string store_str;
-  if (sections.store_ids != nullptr) {
-    std::ostringstream store_text;
-    WriteGraphStream(*sections.store_graphs, store_text);
-    store_str = store_text.str();
-  }
+  const std::string feature_str = FormatGraphText(features);
+  const std::string store_str = sections.store_ids != nullptr
+                                    ? FormatGraphText(*sections.store_graphs)
+                                    : std::string();
 
   return WriteFileDurably(path, [&](FileSink& out) {
     out.Write(kV3Magic, sizeof(kV3Magic));

@@ -1,13 +1,14 @@
 #include "server/wire.h"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <utility>
 
 #include "graph/graph_io.h"
@@ -17,20 +18,22 @@ namespace gdim {
 namespace {
 
 /// Strict non-negative integer token: digits only, no signs, no whitespace.
-Result<int> ParseNonNegInt(const std::string& token,
-                           const std::string& what) {
+Result<int> ParseNonNegInt(std::string_view token, std::string_view what) {
   const bool all_digits =
-      !token.empty() &&
-      std::all_of(token.begin(), token.end(),
-                  [](unsigned char c) { return std::isdigit(c); });
+      !token.empty() && std::all_of(token.begin(), token.end(), [](char c) {
+        return c >= '0' && c <= '9';
+      });
   if (!all_digits) {
-    return Status::InvalidArgument("bad " + what + " '" + token + "'");
+    return Status::InvalidArgument("bad " + std::string(what) + " '" +
+                                   std::string(token) + "'");
   }
-  try {
-    return std::stoi(token);
-  } catch (const std::out_of_range&) {
-    return Status::InvalidArgument(what + " '" + token + "' out of range");
+  int value = 0;
+  if (std::from_chars(token.data(), token.data() + token.size(), value).ec !=
+      std::errc()) {
+    return Status::InvalidArgument(std::string(what) + " '" +
+                                   std::string(token) + "' out of range");
   }
+  return value;
 }
 
 StatusCode StatusCodeFromName(const std::string& name) {
@@ -50,20 +53,15 @@ StatusCode StatusCodeFromName(const std::string& name) {
 }  // namespace
 
 std::string EncodeGraphInline(const Graph& graph) {
-  std::ostringstream text;
-  WriteGraphStream({graph}, text);
-  std::string spec = text.str();
-  while (!spec.empty() && spec.back() == '\n') spec.pop_back();
-  std::replace(spec.begin(), spec.end(), '\n', ';');
+  std::string spec;
+  AppendGraphText(graph, graph.id() >= 0 ? graph.id() : 0, ';', &spec);
+  spec.pop_back();  // records are ';'-separated, not terminated
   return spec;
 }
 
-Result<Graph> DecodeGraphInline(const std::string& spec) {
-  std::string text = spec;
-  std::replace(text.begin(), text.end(), ';', '\n');
-  text.push_back('\n');
-  std::istringstream stream(text);
-  Result<GraphDatabase> db = ReadGraphStream(stream);
+Result<Graph> DecodeGraphInline(std::string_view spec) {
+  Result<GraphDatabase> db =
+      ParseGraphText(spec, RecordBreak::kNewlineOrSemicolon);
   if (!db.ok()) return db.status();
   if (db->size() != 1) {
     return Status::InvalidArgument("expected exactly one graph, got " +
@@ -72,15 +70,16 @@ Result<Graph> DecodeGraphInline(const std::string& spec) {
   return std::move((*db)[0]);
 }
 
-Result<WireRequest> ParseWireRequest(const std::string& line) {
+Result<WireRequest> ParseWireRequest(std::string_view line) {
   const size_t space = line.find(' ');
-  const std::string verb = line.substr(0, space);
-  const std::string rest =
-      space == std::string::npos ? "" : line.substr(space + 1);
+  const std::string_view verb = line.substr(0, space);
+  const std::string_view rest =
+      space == std::string_view::npos ? std::string_view()
+                                      : line.substr(space + 1);
   WireRequest request;
   if (verb == "QUERY") {
     const size_t k_end = rest.find(' ');
-    if (k_end == std::string::npos) {
+    if (k_end == std::string_view::npos) {
       return Status::InvalidArgument(
           "QUERY wants '<k> [KEY=VALUE ...] <graph>'");
     }
@@ -92,13 +91,13 @@ Result<WireRequest> ParseWireRequest(const std::string& line) {
     size_t pos = k_end + 1;
     for (;;) {
       const size_t token_end = rest.find(' ', pos);
-      const std::string token = rest.substr(
-          pos, token_end == std::string::npos ? std::string::npos
-                                              : token_end - pos);
+      const std::string_view token = rest.substr(
+          pos, token_end == std::string_view::npos ? std::string_view::npos
+                                                   : token_end - pos);
       const size_t eq = token.find('=');
-      if (eq == std::string::npos) break;  // the graph starts here
-      const std::string key = token.substr(0, eq);
-      const std::string value = token.substr(eq + 1);
+      if (eq == std::string_view::npos) break;  // the graph starts here
+      const std::string_view key = token.substr(0, eq);
+      const std::string_view value = token.substr(eq + 1);
       if (key == "MODE") {
         if (value == "auto") {
           request.options.scan_mode = ScanMode::kAuto;
@@ -107,7 +106,8 @@ Result<WireRequest> ParseWireRequest(const std::string& line) {
         } else if (value == "approx") {
           request.options.scan_mode = ScanMode::kApprox;
         } else {
-          return Status::InvalidArgument("bad QUERY MODE '" + value +
+          return Status::InvalidArgument("bad QUERY MODE '" +
+                                         std::string(value) +
                                          "' (want auto|full|approx)");
         }
       } else if (key == "NPROBE") {
@@ -128,13 +128,14 @@ Result<WireRequest> ParseWireRequest(const std::string& line) {
         } else if (value == "0") {
           request.trace = false;
         } else {
-          return Status::InvalidArgument("bad QUERY TRACE '" + value +
-                                         "' (want 0|1)");
+          return Status::InvalidArgument("bad QUERY TRACE '" +
+                                         std::string(value) + "' (want 0|1)");
         }
       } else {
-        return Status::InvalidArgument("unknown QUERY option '" + key + "'");
+        return Status::InvalidArgument("unknown QUERY option '" +
+                                       std::string(key) + "'");
       }
-      if (token_end == std::string::npos) {
+      if (token_end == std::string_view::npos) {
         return Status::InvalidArgument("QUERY wants a graph after its "
                                        "options");
       }
@@ -196,13 +197,14 @@ Result<WireRequest> ParseWireRequest(const std::string& line) {
       return Status::InvalidArgument("SNAPSHOT wants '<path>'");
     }
     request.verb = WireVerb::kSnapshot;
-    request.path = rest;
+    request.path = std::string(rest);
     return request;
   }
   if (verb == "STATS" || verb == "METRICS" || verb == "PING" ||
       verb == "QUIT") {
     if (!rest.empty()) {
-      return Status::InvalidArgument(verb + " takes no arguments");
+      return Status::InvalidArgument(std::string(verb) +
+                                     " takes no arguments");
     }
     request.verb = verb == "STATS"     ? WireVerb::kStats
                    : verb == "METRICS" ? WireVerb::kMetrics
@@ -210,15 +212,23 @@ Result<WireRequest> ParseWireRequest(const std::string& line) {
                                        : WireVerb::kQuit;
     return request;
   }
-  return Status::InvalidArgument("unknown verb '" + verb + "'");
+  return Status::InvalidArgument("unknown verb '" + std::string(verb) + "'");
 }
 
 std::string FormatRankingResponse(const Ranking& ranking) {
   std::string out = "OK " + std::to_string(ranking.size());
-  char pair[64];
+  out.reserve(out.size() + 16 * ranking.size());
+  // " <id>:<score>" with the score as "%.6f" prints it; the widest finite
+  // double takes 317 bytes in that form.
+  char pair[352];
+  char* const limit = pair + sizeof(pair);
   for (const RankedResult& r : ranking) {
-    std::snprintf(pair, sizeof(pair), " %d:%.6f", r.id, r.score);
-    out += pair;
+    char* p = pair;
+    *p++ = ' ';
+    p = std::to_chars(p, limit, r.id).ptr;
+    *p++ = ':';
+    p = std::to_chars(p, limit, r.score, std::chars_format::fixed, 6).ptr;
+    out.append(pair, p);
   }
   return out;
 }

@@ -2,6 +2,7 @@
 #define GDIM_SERVER_WIRE_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "core/topk.h"
@@ -30,8 +31,9 @@ namespace gdim {
 ///   any failure           ->  ERR <StatusCodeName> <message>
 ///
 /// <graph> is a whole gSpan transaction ('t # id' / 'v id label' /
-/// 'e u v label' lines) with ';' standing in for the newlines, so a graph
-/// travels on one line. Scores print with 6 fractional digits.
+/// 'e u v label' records) with ';' ending each record, so a graph travels
+/// on one line; the grammar is ParseGraphText's (graph/graph_io.h). Scores
+/// print with 6 fractional digits.
 ///
 /// QUERY accepts optional KEY=VALUE option tokens between <k> and the
 /// graph (a gSpan token never contains '=', so the first '='-free token
@@ -73,13 +75,14 @@ struct WireRequest {
 /// One graph as a single-line wire token (gSpan with ';' separators).
 std::string EncodeGraphInline(const Graph& graph);
 
-/// Inverse of EncodeGraphInline; the spec must contain exactly one graph.
-Result<Graph> DecodeGraphInline(const std::string& spec);
+/// Inverse of EncodeGraphInline, parsed in place; the spec must contain
+/// exactly one graph.
+Result<Graph> DecodeGraphInline(std::string_view spec);
 
 /// Parses one request line. Unknown verbs, malformed integers, and broken
 /// graph specs come back as InvalidArgument/ParseError for the server to
-/// format as an ERR response.
-Result<WireRequest> ParseWireRequest(const std::string& line);
+/// format as an ERR response. The request holds no view into `line`.
+Result<WireRequest> ParseWireRequest(std::string_view line);
 
 /// "OK <m> <id>:<score> ..." for a ranking (no trailing newline).
 std::string FormatRankingResponse(const Ranking& ranking);

@@ -1,11 +1,15 @@
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "graph/graph.h"
 #include "graph/graph_io.h"
 #include "graph/graph_utils.h"
 #include "graph/label_map.h"
+#include "test_util.h"
 
 namespace gdim {
 namespace {
@@ -231,6 +235,144 @@ TEST(GraphIoTest, FileRoundTrip) {
   Result<GraphDatabase> back = ReadGraphFile(path);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ((*back)[0], db[0]);
+}
+
+TEST(GraphIoTest, RejectsLabelsPast32Bits) {
+  // The widest label still fits a LabelId.
+  std::istringstream widest_in(
+      "t # 0\nv 0 4294967295\nv 1 0\ne 0 1 4294967295\n");
+  Result<GraphDatabase> widest = ReadGraphStream(widest_in);
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ((*widest)[0].VertexLabel(0), 4294967295u);
+  EXPECT_EQ((*widest)[0].GetEdge(0).label, 4294967295u);
+  // One past it must not wrap to a small label.
+  for (const char* text : {"t # 0\nv 0 4294967296\n",
+                           "t # 0\nv 0 1\nv 1 1\ne 0 1 8589934592\n",
+                           "t # 0\nv 0 9223372036854775807\n"}) {
+    std::istringstream in(text);
+    Result<GraphDatabase> db = ReadGraphStream(in);
+    ASSERT_FALSE(db.ok()) << text;
+    EXPECT_EQ(db.status().code(), StatusCode::kParseError) << text;
+  }
+}
+
+// The scanner against the reference reader on one text: the same verdict
+// and status code, and equal graphs and ids — except that the scanner
+// rejects a label past 2^32 - 1, which the reference wraps. Counts the
+// outcomes so the caller can check that each kind occurred.
+struct DiffCounts {
+  int accepted = 0;
+  int rejected = 0;
+  int wide_labels = 0;
+};
+
+void ExpectScannerMatchesReference(const std::string& text,
+                                   DiffCounts* counts) {
+  std::istringstream in(text);
+  const Result<GraphDatabase> want = testing_util::ReferenceReadGraphStream(in);
+  const Result<GraphDatabase> got = ParseGraphText(text);
+  SCOPED_TRACE(::testing::PrintToString(text));
+  if (want.ok() && !got.ok()) {
+    ++counts->wide_labels;
+    EXPECT_EQ(got.status().code(), StatusCode::kParseError);
+    EXPECT_TRUE(testing_util::NamesWideLabel(text, got.status(),
+                                             /*semicolons=*/false))
+        << got.status().ToString();
+    return;
+  }
+  ASSERT_EQ(got.ok(), want.ok()) << got.status().ToString();
+  if (!want.ok()) {
+    ++counts->rejected;
+    EXPECT_EQ(got.status().code(), want.status().code());
+    return;
+  }
+  ++counts->accepted;
+  ASSERT_EQ(got->size(), want->size());
+  for (size_t i = 0; i < want->size(); ++i) {
+    EXPECT_EQ((*got)[i], (*want)[i]);
+    EXPECT_EQ((*got)[i].id(), (*want)[i].id());
+  }
+}
+
+GraphDatabase SmallDatabase(Rng* rng) {
+  GraphDatabase db;
+  for (int i = 0; i < 3; ++i) {
+    db.push_back(testing_util::RandomConnectedGraph(
+        rng->UniformInt(1, 4), rng->UniformInt(0, 2), 6, 4, rng));
+    db.back().set_id(rng->UniformInt(0, 40));
+  }
+  return db;
+}
+
+TEST(GraphTextDifferentialTest, TruncationAtEveryOffset) {
+  Rng rng(7);
+  std::ostringstream out;
+  out << "# a comment\n\n";
+  testing_util::ReferenceWriteGraphStream(SmallDatabase(&rng), out);
+  const std::string text = out.str();
+  DiffCounts counts;
+  for (size_t cut = 0; cut <= text.size(); ++cut) {
+    ExpectScannerMatchesReference(text.substr(0, cut), &counts);
+  }
+  EXPECT_GT(counts.accepted, 0);
+  EXPECT_GT(counts.rejected, 0);
+}
+
+TEST(GraphTextDifferentialTest, MutatedTextMatchesTheReference) {
+  Rng rng(20241019);
+  DiffCounts counts;
+  for (int sample = 0; sample < 20000; ++sample) {
+    std::ostringstream out;
+    if (rng.Bernoulli(0.3)) out << "# comment\r\n \t\n";
+    testing_util::ReferenceWriteGraphStream(SmallDatabase(&rng), out);
+    ExpectScannerMatchesReference(
+        testing_util::MutateGraphText(out.str(), &rng), &counts);
+    if (::testing::Test::HasFailure()) break;
+  }
+  // Every kind of outcome occurred, the label-range rejection included.
+  EXPECT_GT(counts.accepted, 1000);
+  EXPECT_GT(counts.rejected, 1000);
+  EXPECT_GT(counts.wide_labels, 0);
+}
+
+TEST(GraphTextDifferentialTest, PrinterMatchesTheReferenceWriter) {
+  Rng rng(11);
+  for (int round = 0; round < 200; ++round) {
+    GraphDatabase db;
+    const int graphs = rng.UniformInt(0, 4);
+    for (int i = 0; i < graphs; ++i) {
+      Graph g = testing_util::RandomConnectedGraph(rng.UniformInt(1, 12),
+                                                   rng.UniformInt(0, 6), 7, 3,
+                                                   &rng);
+      // Full-range labels and ids, and graphs with no id (printed as
+      // their position).
+      Graph wide;
+      for (VertexId v = 0; v < g.NumVertices(); ++v) {
+        wide.AddVertex(rng.Bernoulli(0.5) ? g.VertexLabel(v)
+                                          : static_cast<LabelId>(rng.Next()));
+      }
+      for (const Edge& e : g.edges()) {
+        wide.AddEdge(e.u, e.v,
+                     rng.Bernoulli(0.5) ? e.label
+                                        : static_cast<LabelId>(rng.Next()));
+      }
+      const int id_kind = rng.UniformInt(0, 2);
+      wide.set_id(id_kind == 0   ? -1
+                  : id_kind == 1 ? rng.UniformInt(0, 99)
+                                 : std::numeric_limits<int>::max() -
+                                       rng.UniformInt(0, 9));
+      db.push_back(std::move(wide));
+    }
+    std::ostringstream want;
+    testing_util::ReferenceWriteGraphStream(db, want);
+    ASSERT_EQ(FormatGraphText(db), want.str());
+    std::ostringstream streamed;
+    WriteGraphStream(db, streamed);
+    ASSERT_EQ(streamed.str(), want.str());
+    Result<GraphDatabase> back = ParseGraphText(want.str());
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(*back, db);
+  }
 }
 
 }  // namespace

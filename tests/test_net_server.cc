@@ -8,8 +8,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -174,6 +178,110 @@ TEST(WireTest, RankingResponseRoundTrip) {
   EXPECT_FALSE(ParseRankingResponse("OK 2 1:0.5").ok());  // short
   EXPECT_FALSE(ParseRankingResponse("OK 1 1:0.5 9:0.7").ok());  // long
   EXPECT_FALSE(ParseRankingResponse("gibberish").ok());
+}
+
+TEST(WireTest, RankingScoresPrintLikePrintf) {
+  // FormatRankingResponse must print what " %d:%.6f" prints: uniform
+  // scores, scores one ulp either side of a 6-digit rounding tie, and
+  // random finite bit patterns (huge and tiny magnitudes).
+  Rng rng(5);
+  Ranking ranking;
+  for (int i = 0; i < 30000; ++i) {
+    double score = 0;
+    switch (i % 3) {
+      case 0:
+        score = rng.UniformDouble();
+        break;
+      case 1: {
+        const double tie =
+            (static_cast<double>(rng.UniformU64(2000000)) + 0.5) / 1e6;
+        const int side = rng.UniformInt(-1, 1);
+        score = side == 0 ? tie
+                          : std::nextafter(tie, side < 0 ? 0.0 : 3.0);
+        break;
+      }
+      default:
+        do {
+          const uint64_t bits = rng.Next();
+          std::memcpy(&score, &bits, sizeof(score));
+        } while (!std::isfinite(score));
+        break;
+    }
+    ranking.push_back({rng.UniformInt(-5, 1 << 30), score});
+  }
+  ranking.push_back({std::numeric_limits<int>::min(), 0.0});
+  ranking.push_back({std::numeric_limits<int>::max(), -0.0});
+  ranking.push_back({1, std::numeric_limits<double>::max()});
+  ranking.push_back({2, -std::numeric_limits<double>::max()});
+  ranking.push_back({3, std::numeric_limits<double>::denorm_min()});
+  ranking.push_back({4, 0.0000005});
+  ranking.push_back({5, 0.9999995});
+
+  std::string want = "OK " + std::to_string(ranking.size());
+  char pair[512];
+  for (const RankedResult& r : ranking) {
+    std::snprintf(pair, sizeof(pair), " %d:%.6f", r.id, r.score);
+    want += pair;
+  }
+  EXPECT_EQ(FormatRankingResponse(ranking), want);
+}
+
+TEST(WireTest, RejectsLabelsPast32Bits) {
+  // Wrapped to 32 bits, the first would be answered as the graph with
+  // vertex label 1 and edge label 0.
+  for (const char* line :
+       {"QUERY 10 t # 0;v 0 4294967297;v 1 1;e 0 1 8589934592",
+        "QUERY 10 t # 0;v 0 1;v 1 1;e 0 1 8589934592",
+        "INSERT t # 0;v 0 4294967296"}) {
+    Result<WireRequest> request = ParseWireRequest(line);
+    ASSERT_FALSE(request.ok()) << line;
+    EXPECT_EQ(request.status().code(), StatusCode::kParseError) << line;
+  }
+  Result<WireRequest> widest =
+      ParseWireRequest("QUERY 10 t # 0;v 0 4294967295;v 1 1;e 0 1 4294967295");
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ(widest->graph.VertexLabel(0), 4294967295u);
+  EXPECT_EQ(widest->graph.GetEdge(0).label, 4294967295u);
+}
+
+TEST(WireTest, InlineCodecMatchesTheReference) {
+  // Encoding: byte-identical to the reference on random graphs.
+  // Decoding: on mutated specs, the same verdict, status code, graph and
+  // id as the reference, except that a label past 2^32 - 1 is rejected.
+  Rng rng(27);
+  int accepted = 0, rejected = 0, wide_labels = 0;
+  for (int sample = 0; sample < 20000; ++sample) {
+    Graph g = testing_util::RandomConnectedGraph(rng.UniformInt(1, 5),
+                                                 rng.UniformInt(0, 2), 6, 4,
+                                                 &rng);
+    if (rng.Bernoulli(0.8)) g.set_id(rng.UniformInt(0, 50));
+    const std::string spec = EncodeGraphInline(g);
+    ASSERT_EQ(spec, testing_util::ReferenceEncodeGraphInline(g));
+    const std::string text = testing_util::MutateGraphText(spec, &rng);
+    SCOPED_TRACE(::testing::PrintToString(text));
+    const Result<Graph> want = testing_util::ReferenceDecodeGraphInline(text);
+    const Result<Graph> got = DecodeGraphInline(text);
+    if (want.ok() && !got.ok()) {
+      ++wide_labels;
+      EXPECT_EQ(got.status().code(), StatusCode::kParseError);
+      EXPECT_TRUE(testing_util::NamesWideLabel(text, got.status(),
+                                               /*semicolons=*/true))
+          << got.status().ToString();
+    } else if (!want.ok()) {
+      ++rejected;
+      ASSERT_FALSE(got.ok());
+      EXPECT_EQ(got.status().code(), want.status().code());
+    } else {
+      ++accepted;
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, *want);
+      EXPECT_EQ(got->id(), want->id());
+    }
+    if (::testing::Test::HasFailure()) break;
+  }
+  EXPECT_GT(accepted, 1000);
+  EXPECT_GT(rejected, 1000);
+  EXPECT_GT(wide_labels, 0);
 }
 
 // ---------------------------------------------------------- net server ----

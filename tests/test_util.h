@@ -3,8 +3,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <iterator>
+#include <limits>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -21,6 +25,17 @@
 #include "isomorphism/vf2.h"
 
 namespace gdim {
+
+/// gtest prints a Graph as its inline gSpan text ("t # 3;v 0 1;e ...")
+/// instead of the struct's bytes; found by ADL, so EXPECT_EQ on graphs and
+/// on a GraphDatabase shows the graphs.
+inline void PrintTo(const Graph& graph, std::ostream* os) {
+  std::string text;
+  AppendGraphText(graph, graph.id(), ';', &text);
+  text.pop_back();
+  *os << text;
+}
+
 namespace testing_util {
 
 /// Random connected labeled graph with n vertices and extra random edges.
@@ -147,6 +162,217 @@ inline Ranking OfflinePrefilterTopK(
   if (narrowed != nullptr) *narrowed = narrow;
   return narrow ? OfflineTopK(query, kept, kept_ids, k)
                 : OfflineTopK(query, rows, ids, k);
+}
+
+// The gSpan codec as it stood before the string_view scanner and the
+// to_chars printer: one istringstream per record on the way in, ostream
+// output on the way out, ';' rewritten to '\n' for the wire form. The
+// differential tests pin the production codec to it; the one intended
+// difference is that the scanner rejects a label past 2^32 - 1, which this
+// reader wraps into a LabelId.
+
+inline Result<GraphDatabase> ReferenceReadGraphStream(std::istream& in) {
+  auto parse_error = [](int line_no, const std::string& what) {
+    std::ostringstream os;
+    os << "line " << line_no << ": " << what;
+    return Status::ParseError(os.str());
+  };
+  GraphDatabase db;
+  Graph current;
+  bool in_graph = false;
+  int line_no = 0;
+  std::string line;
+  auto flush = [&] {
+    if (in_graph) db.push_back(std::move(current));
+    current = Graph();
+  };
+  while (std::getline(in, line)) {
+    ++line_no;
+    StripTrailingCarriageReturn(&line);
+    std::istringstream ls(line);
+    std::string tag;
+    if (!(ls >> tag)) continue;  // blank line
+    if (tag == "t") {
+      std::string hash;
+      int id = 0;
+      if (!(ls >> hash >> id) || hash != "#") {
+        return parse_error(line_no, "malformed graph header, want 't # N'");
+      }
+      flush();
+      in_graph = true;
+      current.set_id(id);
+    } else if (tag == "v") {
+      if (!in_graph) return parse_error(line_no, "'v' before 't' header");
+      int vid = 0;
+      long long label = 0;
+      if (!(ls >> vid >> label) || label < 0) {
+        return parse_error(line_no, "malformed vertex line");
+      }
+      if (vid != current.NumVertices()) {
+        return parse_error(line_no, "vertex ids must be consecutive");
+      }
+      current.AddVertex(static_cast<LabelId>(label));
+    } else if (tag == "e") {
+      if (!in_graph) return parse_error(line_no, "'e' before 't' header");
+      int u = 0, v = 0;
+      long long label = 0;
+      if (!(ls >> u >> v >> label) || label < 0) {
+        return parse_error(line_no, "malformed edge line");
+      }
+      if (u < 0 || v < 0 || u >= current.NumVertices() ||
+          v >= current.NumVertices() || u == v) {
+        return parse_error(line_no, "edge endpoint out of range");
+      }
+      if (current.HasEdge(u, v)) {
+        return parse_error(line_no, "duplicate edge");
+      }
+      current.AddEdge(u, v, static_cast<LabelId>(label));
+    } else if (tag[0] == '#') {
+      continue;  // comment
+    } else {
+      return parse_error(line_no, "unknown record tag '" + tag + "'");
+    }
+  }
+  flush();
+  return db;
+}
+
+inline void ReferenceWriteGraphStream(const GraphDatabase& db,
+                                      std::ostream& out) {
+  for (size_t i = 0; i < db.size(); ++i) {
+    const Graph& g = db[i];
+    int id = g.id() >= 0 ? g.id() : static_cast<int>(i);
+    out << "t # " << id << "\n";
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      out << "v " << v << " " << g.VertexLabel(v) << "\n";
+    }
+    for (const Edge& e : g.edges()) {
+      out << "e " << e.u << " " << e.v << " " << e.label << "\n";
+    }
+  }
+}
+
+inline std::string ReferenceEncodeGraphInline(const Graph& graph) {
+  std::ostringstream text;
+  ReferenceWriteGraphStream({graph}, text);
+  std::string spec = text.str();
+  while (!spec.empty() && spec.back() == '\n') spec.pop_back();
+  std::replace(spec.begin(), spec.end(), '\n', ';');
+  return spec;
+}
+
+inline Result<Graph> ReferenceDecodeGraphInline(const std::string& spec) {
+  std::string text = spec;
+  std::replace(text.begin(), text.end(), ';', '\n');
+  text.push_back('\n');
+  std::istringstream stream(text);
+  Result<GraphDatabase> db = ReferenceReadGraphStream(stream);
+  if (!db.ok()) return db.status();
+  if (db->size() != 1) {
+    return Status::InvalidArgument("expected exactly one graph, got " +
+                                   std::to_string(db->size()));
+  }
+  return std::move((*db)[0]);
+}
+
+/// One to three random corruptions of gSpan text: truncation, byte flips
+/// and deletions, inserted whitespace ('\t', '\r', runs of spaces), '+'
+/// and '-' signs, integers past int and long long, embedded NULs, and
+/// record separators ('\n', ';') in unexpected places.
+inline std::string MutateGraphText(std::string text, Rng* rng) {
+  static const char* const kWide[] = {
+      "2147483647",          "2147483648",           "-2147483648",
+      "-2147483649",         "4294967295",           "4294967296",
+      "8589934592",          "9223372036854775807",  "9223372036854775808",
+      "-9223372036854775809", "18446744073709551616", "0000000000000000000007",
+      "+0",                  "-0"};
+  static const char kBytes[] = " \t\r\n\v\f;#+-0123456789tvex";
+  const int rounds = rng->UniformInt(1, 3);
+  for (int round = 0; round < rounds; ++round) {
+    const size_t pos = static_cast<size_t>(rng->UniformU64(text.size() + 1));
+    const char byte = rng->Bernoulli(0.25)
+                          ? static_cast<char>(rng->UniformU64(256))
+                          : kBytes[rng->UniformU64(sizeof(kBytes) - 1)];
+    switch (rng->UniformU64(9)) {
+      case 0:
+        text.resize(pos);
+        break;
+      case 1:
+        if (pos < text.size()) text[pos] = byte;
+        break;
+      case 2:
+        if (pos < text.size()) text.erase(pos, 1);
+        break;
+      case 3:
+        text.insert(pos, rng->Bernoulli(0.5) ? "\t" : (rng->Bernoulli(0.5)
+                                                          ? "\r"
+                                                          : "   "));
+        break;
+      case 4: {
+        // A sign in front of the next number.
+        const size_t digit = text.find_first_of("0123456789", pos);
+        if (digit != std::string::npos) {
+          text.insert(digit, 1, rng->Bernoulli(0.7) ? '+' : '-');
+        }
+        break;
+      }
+      case 5: {
+        // The next number replaced by a wide or signed one.
+        const size_t begin = text.find_first_of("0123456789", pos);
+        if (begin == std::string::npos) break;
+        const size_t end = text.find_first_not_of("0123456789", begin);
+        text.replace(begin, (end == std::string::npos ? text.size() : end) -
+                                begin,
+                     kWide[rng->UniformU64(std::size(kWide))]);
+        break;
+      }
+      case 6:
+        text.insert(pos, 1, '\0');
+        break;
+      case 7:
+        text.insert(pos, 1, rng->Bernoulli(0.5) ? ';' : '\n');
+        break;
+      default:
+        text.insert(pos, 1, byte);
+        break;
+    }
+  }
+  return text;
+}
+
+/// True when the record that `status` names ("line N: ...", records split
+/// at '\n', and at ';' too when `semicolons`) is a well-formed 'v' or 'e'
+/// record whose label exceeds 2^32 - 1 — a record the reference accepts by
+/// wrapping the label.
+inline bool NamesWideLabel(const std::string& text, const Status& status,
+                           bool semicolons) {
+  const std::string& message = status.message();
+  if (message.rfind("line ", 0) != 0) return false;
+  const int line_no = std::atoi(message.c_str() + 5);
+  int current = 1;
+  size_t begin = 0;
+  while (current < line_no && begin <= text.size()) {
+    const size_t end = text.find_first_of(semicolons ? ";\n" : "\n", begin);
+    if (end == std::string::npos) return false;
+    begin = end + 1;
+    ++current;
+  }
+  const size_t end = text.find_first_of(semicolons ? ";\n" : "\n", begin);
+  std::istringstream record(text.substr(
+      begin, end == std::string::npos ? std::string::npos : end - begin));
+  std::string tag;
+  int a = 0, b = 0;
+  long long label = 0;
+  record >> tag;
+  if (tag == "v") {
+    record >> a >> label;
+  } else if (tag == "e") {
+    record >> a >> b >> label;
+  } else {
+    return false;
+  }
+  return static_cast<bool>(record) &&
+         label > static_cast<long long>(std::numeric_limits<LabelId>::max());
 }
 
 // Index files in the formats production code only reads. The one
